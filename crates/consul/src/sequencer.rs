@@ -111,26 +111,19 @@ impl BatchConfig {
 /// [`RecordBody::Checkpoint`] marker into the total order roughly every
 /// `every` records. The application snapshots its state machine when the
 /// marker is delivered and installs the image back into its member
-/// ([`SeqMember::install_checkpoint`]); with `compaction` on, the
-/// install truncates the ordered log up to the marker.
+/// ([`SeqMember::install_checkpoint`]), which truncates the ordered log
+/// up to the marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Emit a checkpoint marker after this many ordered records since
     /// the previous marker. `0` disables checkpointing entirely — the
     /// pre-checkpoint wire protocol, where joiners replay the full log.
     pub every: u64,
-    /// Truncate the log behind installed checkpoints. Off keeps markers
-    /// flowing (and images current) while retaining the full log — for
-    /// debugging a suspected compaction fault in production.
-    pub compaction: bool,
 }
 
 impl Default for CheckpointConfig {
     fn default() -> Self {
-        CheckpointConfig {
-            every: 512,
-            compaction: true,
-        }
+        CheckpointConfig { every: 512 }
     }
 }
 
@@ -138,10 +131,7 @@ impl CheckpointConfig {
     /// Checkpointing off: wire-compatible with the pre-checkpoint
     /// protocol (no markers, full-log snapshots, unbounded log).
     pub fn disabled() -> Self {
-        CheckpointConfig {
-            every: 0,
-            compaction: false,
-        }
+        CheckpointConfig { every: 0 }
     }
 
     /// Whether the coordinator emits markers at all.
@@ -1565,10 +1555,10 @@ impl State {
     }
 
     /// Install the application's state image for the checkpoint marker
-    /// at `image.seq`, and (with compaction on) truncate the log behind
-    /// it. Truncated `App` records feed the `retired` watermark before
-    /// they disappear, and `assigned` entries at or below the watermark
-    /// are pruned — duplicates down there are answered by snapshot.
+    /// at `image.seq`, and truncate the log behind it. Truncated `App`
+    /// records feed the `retired` watermark before they disappear, and
+    /// `assigned` entries at or below the watermark are pruned —
+    /// duplicates down there are answered by snapshot.
     fn install_checkpoint(&mut self, image: CheckpointImage) {
         debug_assert!(
             image.seq <= self.last_seq(),
@@ -1579,7 +1569,7 @@ impl State {
         }
         let cut = image.seq;
         self.checkpoint = Some(image);
-        if !self.ckpt_cfg.compaction || cut <= self.log_base {
+        if cut <= self.log_base {
             return;
         }
         let keep_from = ((cut - self.log_base) as usize).min(self.log.len());
@@ -1629,20 +1619,11 @@ impl SeqGroup {
     /// configuration and checkpointing off (the bare protocol; layered
     /// runtimes that install checkpoints use [`SeqGroup::new_with`]).
     pub fn new(n: u32, cfg: NetConfig) -> (SeqGroup, Vec<SeqMember>) {
-        Self::new_with_batch(n, cfg, BatchConfig::default())
+        Self::new_with(n, cfg, BatchConfig::default(), CheckpointConfig::disabled())
     }
 
-    /// Like [`SeqGroup::new`] with explicit group-commit tuning
+    /// Fully explicit constructor: group-commit and checkpoint tuning
     /// (`BatchConfig::disabled()` reproduces the unbatched protocol).
-    pub fn new_with_batch(
-        n: u32,
-        cfg: NetConfig,
-        batch: BatchConfig,
-    ) -> (SeqGroup, Vec<SeqMember>) {
-        Self::new_with(n, cfg, batch, CheckpointConfig::disabled())
-    }
-
-    /// Fully explicit constructor: group-commit and checkpoint tuning.
     pub fn new_with(
         n: u32,
         cfg: NetConfig,
@@ -2029,16 +2010,6 @@ impl SeqGroup {
         self.stats.clone()
     }
 
-    /// The group-commit configuration members run with.
-    pub fn batch_config(&self) -> BatchConfig {
-        self.batch
-    }
-
-    /// The checkpoint/compaction configuration members run with.
-    pub fn checkpoint_config(&self) -> CheckpointConfig {
-        self.ckpt
-    }
-
     /// Tear down the network router.
     pub fn shutdown(&self) {
         self.net.shutdown();
@@ -2092,7 +2063,7 @@ impl SeqMember {
 
     /// Snapshot of the member's *retained* log (tests/debugging): the
     /// records with sequence numbers `log_base()+1 ..= delivered_count()`.
-    /// With compaction off this is the full log from seq 1.
+    /// With checkpointing off this is the full log from seq 1.
     pub fn log(&self) -> Vec<Record> {
         self.state.lock().log.clone()
     }
@@ -2102,8 +2073,8 @@ impl SeqMember {
     /// The application calls this after snapshotting its state machine at
     /// a [`Delivery::Checkpoint`] boundary. The member records the image
     /// (to serve joiners and laggards in O(state) instead of O(history))
-    /// and, if compaction is enabled, truncates its retained log up to
-    /// `image.seq`, advancing [`SeqMember::log_base`].
+    /// and truncates its retained log up to `image.seq`, advancing
+    /// [`SeqMember::log_base`].
     pub fn install_checkpoint(&self, image: CheckpointImage) {
         self.state.lock().install_checkpoint(image);
     }
@@ -2482,7 +2453,8 @@ mod tests {
             max_entries: 64,
             ..BatchConfig::default()
         };
-        let (g, ms) = SeqGroup::new_with_batch(3, NetConfig::instant(), batch);
+        let (g, ms) =
+            SeqGroup::new_with(3, NetConfig::instant(), batch, CheckpointConfig::disabled());
         let ms = Arc::new(ms);
         let per = 100;
         let threads: Vec<_> = (0..3)
@@ -2523,7 +2495,12 @@ mod tests {
 
     #[test]
     fn disabled_batching_matches_classic_message_cost() {
-        let (g, ms) = SeqGroup::new_with_batch(4, NetConfig::instant(), BatchConfig::disabled());
+        let (g, ms) = SeqGroup::new_with(
+            4,
+            NetConfig::instant(),
+            BatchConfig::disabled(),
+            CheckpointConfig::disabled(),
+        );
         g.net().stats().reset();
         ms[1].broadcast(Bytes::from_static(b"m"));
         let _ = collect_n(&ms[1], 1, Duration::from_secs(2));
@@ -2546,7 +2523,8 @@ mod tests {
             max_entries: 1024,
             ..BatchConfig::default()
         };
-        let (g, ms) = SeqGroup::new_with_batch(2, NetConfig::instant(), batch);
+        let (g, ms) =
+            SeqGroup::new_with(2, NetConfig::instant(), batch, CheckpointConfig::disabled());
         for i in 0..10 {
             ms[1].broadcast(Bytes::from(format!("{i}")));
         }
@@ -2568,7 +2546,8 @@ mod tests {
             max_entries: 1024,
             max_bytes: 4 * 1024,
         };
-        let (g, ms) = SeqGroup::new_with_batch(2, NetConfig::instant(), batch);
+        let (g, ms) =
+            SeqGroup::new_with(2, NetConfig::instant(), batch, CheckpointConfig::disabled());
         let payload = Bytes::from(vec![7u8; 1024]);
         // First submit flushes solo (idle); the next four coalesce and
         // their 4 KiB crosses the threshold well before the 5 s window.
@@ -2593,13 +2572,14 @@ mod tests {
     /// size and queueing delay.
     #[test]
     fn spans_cover_flush_and_deliver() {
-        let (g, ms) = SeqGroup::new_with_batch(
+        let (g, ms) = SeqGroup::new_with(
             2,
             NetConfig::instant(),
             BatchConfig {
                 window: Duration::from_millis(2),
                 ..BatchConfig::default()
             },
+            CheckpointConfig::disabled(),
         );
         let mut locals = Vec::new();
         for i in 0..8 {
@@ -2658,7 +2638,8 @@ mod tests {
             max_entries: 1024,
             ..BatchConfig::default()
         };
-        let (g, ms) = SeqGroup::new_with_batch(3, NetConfig::instant(), batch);
+        let (g, ms) =
+            SeqGroup::new_with(3, NetConfig::instant(), batch, CheckpointConfig::disabled());
         ms[1].broadcast(Bytes::from_static(b"a")); // solo (idle flush)
         ms[1].broadcast(Bytes::from_static(b"b")); // opens a batch
         ms[1].broadcast(Bytes::from_static(b"c")); // joins the batch
@@ -2754,10 +2735,7 @@ mod tests {
 
     #[test]
     fn compaction_bounds_retained_log() {
-        let ckpt = CheckpointConfig {
-            every: 4,
-            compaction: true,
-        };
+        let ckpt = CheckpointConfig { every: 4 };
         let (g, ms) = SeqGroup::new_with(2, NetConfig::instant(), BatchConfig::disabled(), ckpt);
         let total = 40;
         for i in 0..total {
@@ -2785,10 +2763,7 @@ mod tests {
 
     #[test]
     fn rejoin_ships_checkpoint_and_tail_not_history() {
-        let ckpt = CheckpointConfig {
-            every: 4,
-            compaction: true,
-        };
+        let ckpt = CheckpointConfig { every: 4 };
         let (g, ms) = SeqGroup::new_with(3, NetConfig::instant(), BatchConfig::disabled(), ckpt);
         g.crash(HostId(2));
         let _ = drain_installing(
@@ -2840,10 +2815,7 @@ mod tests {
 
     #[test]
     fn nack_below_watermark_answered_with_snapshot() {
-        let ckpt = CheckpointConfig {
-            every: 4,
-            compaction: true,
-        };
+        let ckpt = CheckpointConfig { every: 4 };
         let (g, ms) = SeqGroup::new_with(2, NetConfig::instant(), BatchConfig::disabled(), ckpt);
         let total = 12;
         for i in 0..total {
@@ -2935,7 +2907,8 @@ mod tests {
             window: Duration::from_millis(2),
             ..BatchConfig::default()
         };
-        let (g, ms) = SeqGroup::new_with_batch(3, NetConfig::instant(), batch);
+        let (g, ms) =
+            SeqGroup::new_with(3, NetConfig::instant(), batch, CheckpointConfig::disabled());
         let ms = Arc::new(ms);
         let per = 50;
         let threads: Vec<_> = (0..3)

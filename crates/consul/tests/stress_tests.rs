@@ -203,7 +203,7 @@ fn coordinator_crash_mid_batch_exactly_once() {
             max_entries: 16,
             ..consul_sim::BatchConfig::default()
         };
-        let (g, ms) = SeqGroup::new_with_batch(4, cfg, batch);
+        let (g, ms) = SeqGroup::new_with(4, cfg, batch, consul_sim::CheckpointConfig::disabled());
         let per = 25usize;
         std::thread::scope(|s| {
             for (i, m) in ms.iter().enumerate().skip(1) {

@@ -24,12 +24,10 @@
 use crate::federation::{federate_metrics, federate_trace, MemberSource};
 use crate::flight::{FlightRecorder, FlightSection};
 use crate::runtime::{Runtime, RuntimeConfig};
-use crate::server::{events_json_lines, http_post_metrics, ExporterSources, HttpExporter};
+use crate::server::{events_json_lines, ExporterSources, HttpExporter};
 use consul_sim::{
     BatchConfig, CheckpointConfig, HostId, NetConfig, SeqGroup, SeqMember, TcpConfig, TcpMesh,
 };
-use ftlinda_kernel::StoreConfig;
-use linda_tuple::Signature;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -78,18 +76,14 @@ pub struct ClusterBuilder {
     shards: u32,
     transport: Transport,
     net: NetConfig,
-    divergence_period: Option<Duration>,
+    divergence_period: Duration,
     batch: BatchConfig,
     ckpt: CheckpointConfig,
     http: bool,
     http_base_port: u16,
     flight_dir: Option<PathBuf>,
     starvation_after: Duration,
-    introspection: bool,
-    push: Option<(String, Duration)>,
-    store: StoreConfig,
-    store_overrides: Vec<(u64, StoreConfig)>,
-    timeseries: Option<(Duration, usize)>,
+    timeseries_interval: Duration,
 }
 
 impl Default for ClusterBuilder {
@@ -99,18 +93,14 @@ impl Default for ClusterBuilder {
             shards: 1,
             transport: Transport::Sim,
             net: NetConfig::instant(),
-            divergence_period: Some(Duration::from_millis(10)),
+            divergence_period: Duration::from_millis(10),
             batch: BatchConfig::default(),
             ckpt: CheckpointConfig::default(),
             http: true,
             http_base_port: 0,
             flight_dir: None,
             starvation_after: Duration::from_secs(5),
-            introspection: true,
-            push: None,
-            store: StoreConfig::default(),
-            store_overrides: Vec::new(),
-            timeseries: Some((Duration::from_secs(1), 512)),
+            timeseries_interval: Duration::from_secs(1),
         }
     }
 }
@@ -137,17 +127,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Per-signature override of [`ClusterBuilder::store_config`]: tuples
-    /// and patterns whose signature matches `sig` use `cfg` instead of
-    /// the space-wide default, in every space on every host. Derived
-    /// state only — never affects match results or replicated digests.
-    pub fn store_config_for(mut self, sig: &Signature, cfg: StoreConfig) -> Self {
-        let hash = sig.stable_hash();
-        self.store_overrides.retain(|(s, _)| *s != hash);
-        self.store_overrides.push((hash, cfg));
-        self
-    }
-
     /// Select the transport: in-process [`Transport::Sim`] (default) or
     /// one-member-per-process [`Transport::Tcp`]. Under TCP the builder's
     /// `hosts` count is taken from the address list, failure detection is
@@ -165,12 +144,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// LAN-like latency shortcut.
-    pub fn latency(mut self, one_way: Duration) -> Self {
-        self.net = NetConfig::lan(one_way);
-        self
-    }
-
     /// Use heartbeat-based failure detection instead of the simulated
     /// oracle detector: crashes are discovered from ping silence, as a
     /// real deployment would.
@@ -179,21 +152,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// How often the divergence detector cross-checks replica digests.
+    /// How often the divergence detector cross-checks replica digests
+    /// (default 10 ms; the flight recorder polls at the same period).
     pub fn divergence_period(mut self, p: Duration) -> Self {
-        self.divergence_period = Some(p);
-        self
-    }
-
-    /// Disable the background divergence detector.
-    pub fn no_divergence_detector(mut self) -> Self {
-        self.divergence_period = None;
-        self
-    }
-
-    /// Full group-commit configuration for the sequencer coordinator.
-    pub fn batch(mut self, cfg: BatchConfig) -> Self {
-        self.batch = cfg;
+        self.divergence_period = p;
         self
     }
 
@@ -204,23 +166,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Flush an open batch as soon as it reaches `n` entries.
-    pub fn batch_max_entries(mut self, n: usize) -> Self {
-        self.batch.max_entries = n;
-        self
-    }
-
     /// Disable submit batching: every AGS is ordered with its own
     /// multicast, wire-identical to the pre-batching protocol.
     pub fn no_batching(mut self) -> Self {
         self.batch = BatchConfig::disabled();
-        self
-    }
-
-    /// Flush an open batch once its payload bytes reach `n` (0 disables
-    /// the byte trigger; entry-count and window triggers still apply).
-    pub fn batch_max_bytes(mut self, n: usize) -> Self {
-        self.batch.max_bytes = n;
         self
     }
 
@@ -231,14 +180,6 @@ impl ClusterBuilder {
     /// O(live state), not O(history). `0` disables checkpointing.
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.ckpt.every = n;
-        self
-    }
-
-    /// Keep taking periodic checkpoints but never truncate the log
-    /// (joiners are still served the image; memory grows with history).
-    /// Mostly useful for debugging compaction itself.
-    pub fn no_compaction(mut self) -> Self {
-        self.ckpt.compaction = false;
         self
     }
 
@@ -257,10 +198,11 @@ impl ClusterBuilder {
     }
 
     /// Base TCP port for the per-member HTTP exporters: host `i` serves
-    /// on `127.0.0.1:(base + i)`. The default base of 0 gives every
-    /// member an ephemeral port (resolve with [`Cluster::http_addr`]) —
-    /// right for tests; a deployment picks a fixed base so scrape
-    /// targets are predictable.
+    /// on `127.0.0.1:(base + i)`, so `base + hosts - 1` must fit in a
+    /// `u16` ([`ClusterBuilder::try_build`] rejects it otherwise). The
+    /// default base of 0 gives every member an ephemeral port (resolve
+    /// with [`Cluster::http_addr`]) — right for tests; a deployment picks
+    /// a fixed base so scrape targets are predictable.
     pub fn http_base_port(mut self, base: u16) -> Self {
         self.http = true;
         self.http_base_port = base;
@@ -276,60 +218,15 @@ impl ClusterBuilder {
         self
     }
 
-    /// Disable deep introspection: no per-signature occupancy/match-cost
-    /// metric families, no starvation watchdog, and `/introspect` answers
-    /// 404. The scalar pipeline metrics and all other endpoints remain.
-    pub fn no_introspection(mut self) -> Self {
-        self.introspection = false;
-        self
-    }
-
-    /// Matching-engine tuning for every host's kernel: value-index
-    /// promotion thresholds and the miss-cache capacity (see
-    /// [`StoreConfig`]). Derived state only — it changes probe counts,
-    /// never match results or the replicated digest, so hosts with
-    /// different configs still converge.
-    pub fn store_config(mut self, cfg: StoreConfig) -> Self {
-        self.store = cfg;
-        self
-    }
-
-    /// Push-gateway mode: every `interval`, POST each live member's
-    /// Prometheus text to `url` + `/instance/<host>` (plus the cluster
-    /// registry to `url` itself) instead of relying on scrapes. Failures
-    /// are counted in `ftlinda_push_failures_total` on [`Cluster::obs`],
-    /// never fatal.
-    pub fn push_gateway(mut self, url: impl Into<String>, interval: Duration) -> Self {
-        self.push = Some((url.into(), interval.max(Duration::from_millis(10))));
-        self
-    }
-
     /// Sampling interval of the in-memory metrics time-series ring
     /// (default 1 s). Every tick a background thread snapshots selected
     /// cluster gauges/counters — per-shard tuples, AGS totals, abort and
     /// retry counters, ordered multicasts, the load-imbalance gauge —
-    /// into a bounded ring served as `/timeseries` on every member's
-    /// exporter and included in flight-recorder dumps.
+    /// into a bounded ring (the latest 512 snapshots) served as
+    /// `/timeseries` on every member's exporter and included in
+    /// flight-recorder dumps.
     pub fn timeseries_interval(mut self, interval: Duration) -> Self {
-        let cap = self.timeseries.map_or(512, |(_, c)| c);
-        self.timeseries = Some((interval.max(Duration::from_millis(10)), cap));
-        self
-    }
-
-    /// Capacity of the time-series ring in snapshots (default 512). When
-    /// full, the oldest snapshot is evicted; `/timeseries` reports how
-    /// many were dropped.
-    pub fn timeseries_capacity(mut self, cap: usize) -> Self {
-        let interval = self.timeseries.map_or(Duration::from_secs(1), |(i, _)| i);
-        self.timeseries = Some((interval, cap.max(2)));
-        self
-    }
-
-    /// Disable the time-series sampler: no sampler thread, `/timeseries`
-    /// answers 404, and the per-shard multicast/imbalance cluster gauges
-    /// stay at their defaults.
-    pub fn no_timeseries(mut self) -> Self {
-        self.timeseries = None;
+        self.timeseries_interval = interval.max(Duration::from_millis(10));
         self
     }
 
@@ -347,51 +244,44 @@ impl ClusterBuilder {
     /// # Panics
     ///
     /// Under [`Transport::Tcp`] building can genuinely fail (the listen
-    /// address may be taken); this convenience panics on that error.
-    /// Deployment binaries should call [`ClusterBuilder::try_build`].
+    /// address may be taken); this convenience panics on that error, and
+    /// on an HTTP base port too high for the member count. Deployment
+    /// binaries should call [`ClusterBuilder::try_build`].
     pub fn build(self) -> (Cluster, Vec<Runtime>) {
         self.try_build().expect("cluster transport failed to start")
     }
 
-    /// Build the cluster, surfacing transport startup errors. Under
-    /// [`Transport::Sim`] this never fails and returns one runtime per
-    /// host; under [`Transport::Tcp`] it returns exactly one runtime —
-    /// the local member's.
+    /// Build the cluster, surfacing startup errors. Under
+    /// [`Transport::Sim`] this returns one runtime per host; under
+    /// [`Transport::Tcp`] it returns exactly one runtime — the local
+    /// member's. Fails with [`std::io::ErrorKind::InvalidInput`] when a
+    /// fixed HTTP base port would put the last member's exporter past
+    /// port 65535, and with the transport's error when TCP cannot bind.
     pub fn try_build(self) -> std::io::Result<(Cluster, Vec<Runtime>)> {
-        match self.transport.clone() {
-            Transport::Sim => Ok(self.build_sim()),
-            Transport::Tcp(tcp) => self.build_tcp(tcp),
-        }
-    }
-
-    fn build_sim(self) -> (Cluster, Vec<Runtime>) {
-        // One independent sequencer group (own simulated network, own
-        // log, own checkpoint stream) per shard. Per-shard local-id
-        // bases keep broadcast ids globally unique so one waiting table
-        // serves all K streams; per-shard seeds decorrelate jitter.
-        let mut groups: Vec<SeqGroup> = Vec::with_capacity(self.shards as usize);
-        let mut members_per_host: Vec<Vec<SeqMember>> =
-            (0..self.hosts).map(|_| Vec::new()).collect();
-        for i in 0..self.shards.max(1) {
-            let mut net = self.net.clone();
-            net.seed = net.seed.wrapping_add(u64::from(i).wrapping_mul(7919));
-            let (group, members) =
-                SeqGroup::new_with_base(self.hosts, net, self.batch, self.ckpt, u64::from(i) << 48);
-            groups.push(group);
-            for (h, m) in members.into_iter().enumerate() {
-                members_per_host[h].push(m);
-            }
-        }
-        let run_cfg = RuntimeConfig {
-            // no_introspection() also silences the watchdog: starvation
-            // ages come from the same deep-accounting layer.
-            starvation_after: (self.introspection && !self.starvation_after.is_zero())
-                .then_some(self.starvation_after),
-            introspection: self.introspection,
-            store: self.store,
-            store_overrides: self.store_overrides.clone(),
+        let members = match &self.transport {
+            Transport::Sim => self.hosts,
+            Transport::Tcp(tcp) => tcp.addrs.len() as u32,
         };
-        let runtimes: Vec<Runtime> = members_per_host
+        if self.http && exporter_port(self.http_base_port, members.saturating_sub(1)).is_none() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "HTTP base port {} too high for {members} members: host i serves on base + i <= {}",
+                    self.http_base_port,
+                    u16::MAX
+                ),
+            ));
+        }
+        let obs = Arc::new(linda_obs::Registry::new());
+        let wiring = match &self.transport {
+            Transport::Sim => self.sim_wiring(),
+            Transport::Tcp(tcp) => self.tcp_wiring(tcp, &obs)?,
+        };
+        let run_cfg = RuntimeConfig {
+            starvation_after: (!self.starvation_after.is_zero()).then_some(self.starvation_after),
+        };
+        let runtimes: Vec<Runtime> = wiring
+            .members
             .into_iter()
             .map(|ms| Runtime::with_members(ms, run_cfg.clone()))
             .collect();
@@ -400,44 +290,78 @@ impl ClusterBuilder {
         let flight = self.flight_dir.clone().map(|dir| {
             Arc::new(FlightRecorder::new(dir).expect("create flight recorder directory"))
         });
-        let timeseries = self
-            .timeseries
-            .map(|(_, cap)| Arc::new(linda_obs::TimeSeriesRing::with_capacity(cap)));
         let cluster = Cluster {
-            groups,
-            mesh: None,
-            peer_http: Vec::new(),
+            groups: wiring.groups,
+            mesh: wiring.mesh,
+            peer_http: wiring.peer_http,
             runtimes: Arc::new(Mutex::new(by_host)),
-            obs: Arc::new(linda_obs::Registry::new()),
+            obs,
             stop: Arc::new(AtomicBool::new(false)),
             detector: Mutex::new(None),
             exporters: Mutex::new(HashMap::new()),
             flight,
             monitor: Mutex::new(None),
-            pusher: Mutex::new(None),
             sampler: Mutex::new(None),
-            timeseries,
+            timeseries: Arc::new(linda_obs::TimeSeriesRing::default()),
             run_cfg,
         };
-        self.start_services(&cluster);
-        (cluster, runtimes)
+        // The divergence detector and trace/metrics aggregation only see
+        // the runtimes in this process (all of them under Sim, just ours
+        // under TCP).
+        cluster.spawn_detector(self.divergence_period);
+        cluster.spawn_sampler(self.timeseries_interval);
+        if self.http {
+            cluster.spawn_exporters(self.http_base_port);
+        }
+        if cluster.flight.is_some() {
+            cluster.spawn_flight_monitor(self.divergence_period);
+        }
+        Ok((cluster, runtimes))
+    }
+
+    /// Every host in this process, with one independent sequencer group
+    /// (own simulated network, own log, own checkpoint stream) per
+    /// shard. Per-shard local-id bases keep broadcast ids globally
+    /// unique so one waiting table serves all K streams; per-shard seeds
+    /// decorrelate jitter.
+    fn sim_wiring(&self) -> Wiring {
+        let mut groups: Vec<SeqGroup> = Vec::with_capacity(self.shards as usize);
+        let mut members: Vec<Vec<SeqMember>> = (0..self.hosts).map(|_| Vec::new()).collect();
+        for i in 0..self.shards {
+            let mut net = self.net.clone();
+            net.seed = net.seed.wrapping_add(u64::from(i).wrapping_mul(7919));
+            let (group, ms) =
+                SeqGroup::new_with_base(self.hosts, net, self.batch, self.ckpt, u64::from(i) << 48);
+            groups.push(group);
+            for (h, m) in ms.into_iter().enumerate() {
+                members[h].push(m);
+            }
+        }
+        Wiring {
+            groups,
+            members,
+            mesh: None,
+            peer_http: Vec::new(),
+        }
     }
 
     /// One member of a multi-process TCP cluster: bind our listener,
-    /// dial the peers, run one sequencer member per shard lane over the
-    /// mesh, and wrap them in a single local [`Runtime`].
-    fn build_tcp(self, tcp: TcpClusterConfig) -> std::io::Result<(Cluster, Vec<Runtime>)> {
-        let shards = self.shards.max(1);
-        let obs = Arc::new(linda_obs::Registry::new());
-        let mut cfg = TcpConfig::new(HostId(tcp.me), &tcp.addrs, shards);
+    /// dial the peers, and run one sequencer member per shard lane over
+    /// the mesh, all for the single local host.
+    fn tcp_wiring(
+        &self,
+        tcp: &TcpClusterConfig,
+        obs: &Arc<linda_obs::Registry>,
+    ) -> std::io::Result<Wiring> {
+        let mut cfg = TcpConfig::new(HostId(tcp.me), &tcp.addrs, self.shards);
         if let Some(hb) = self.net.heartbeats {
             cfg.heartbeat = hb;
         }
-        let (mesh, lane_rxs) = TcpMesh::start(cfg, &obs)?;
+        let (mesh, lane_rxs) = TcpMesh::start(cfg, obs)?;
         let universe = mesh.universe();
         let me = mesh.me();
-        let mut groups: Vec<SeqGroup> = Vec::with_capacity(shards as usize);
-        let mut members: Vec<SeqMember> = Vec::with_capacity(shards as usize);
+        let mut groups: Vec<SeqGroup> = Vec::with_capacity(self.shards as usize);
+        let mut members: Vec<SeqMember> = Vec::with_capacity(self.shards as usize);
         for (i, rx) in lane_rxs.into_iter().enumerate() {
             let (group, member) = SeqGroup::tcp_member(
                 mesh.lane(i as u32),
@@ -452,21 +376,6 @@ impl ClusterBuilder {
             groups.push(group);
             members.push(member);
         }
-        let run_cfg = RuntimeConfig {
-            starvation_after: (self.introspection && !self.starvation_after.is_zero())
-                .then_some(self.starvation_after),
-            introspection: self.introspection,
-            store: self.store,
-            store_overrides: self.store_overrides.clone(),
-        };
-        let rt = Runtime::with_members(members, run_cfg.clone());
-        let by_host: HashMap<HostId, Runtime> = [(me, rt.clone())].into_iter().collect();
-        let flight = self.flight_dir.clone().map(|dir| {
-            Arc::new(FlightRecorder::new(dir).expect("create flight recorder directory"))
-        });
-        let timeseries = self
-            .timeseries
-            .map(|(_, cap)| Arc::new(linda_obs::TimeSeriesRing::with_capacity(cap)));
         // Peer exporter addresses, derivable only under a fixed HTTP base
         // port: peer i's sequencer binds addrs[i], its exporter serves
         // the same interface at base + i. With an ephemeral base (tests)
@@ -477,56 +386,43 @@ impl ClusterBuilder {
                 .enumerate()
                 .filter(|(i, _)| *i as u32 != tcp.me)
                 .map(|(i, a)| {
-                    (
-                        HostId(i as u32),
-                        SocketAddr::new(a.ip(), self.http_base_port.wrapping_add(i as u16)),
-                    )
+                    let port = exporter_port(self.http_base_port, i as u32)
+                        .expect("exporter ports checked by try_build");
+                    (HostId(i as u32), SocketAddr::new(a.ip(), port))
                 })
                 .collect()
         } else {
             Vec::new()
         };
-        let cluster = Cluster {
+        Ok(Wiring {
             groups,
+            members: vec![members],
             mesh: Some(mesh),
             peer_http,
-            runtimes: Arc::new(Mutex::new(by_host)),
-            obs,
-            stop: Arc::new(AtomicBool::new(false)),
-            detector: Mutex::new(None),
-            exporters: Mutex::new(HashMap::new()),
-            flight,
-            monitor: Mutex::new(None),
-            pusher: Mutex::new(None),
-            sampler: Mutex::new(None),
-            timeseries,
-            run_cfg,
-        };
-        self.start_services(&cluster);
-        Ok((cluster, vec![rt]))
+        })
     }
+}
 
-    /// Background services common to both transports. The divergence
-    /// detector and trace/metrics aggregation only see the runtimes in
-    /// this process (all of them under Sim, just ours under TCP).
-    fn start_services(&self, cluster: &Cluster) {
-        if let Some(period) = self.divergence_period {
-            cluster.spawn_detector(period);
-        }
-        if let Some((interval, _)) = self.timeseries {
-            cluster.spawn_sampler(interval);
-        }
-        if self.http {
-            cluster.spawn_exporters(self.http_base_port);
-        }
-        if cluster.flight.is_some() {
-            cluster
-                .spawn_flight_monitor(self.divergence_period.unwrap_or(Duration::from_millis(10)));
-        }
-        if let Some((url, interval)) = self.push.clone() {
-            cluster.spawn_pusher(url, interval);
-        }
+/// What a transport contributes to a cluster: one ordering group per
+/// shard, the per-shard members of every host in this process, and —
+/// under TCP — the mesh plus the peers' exporter addresses.
+struct Wiring {
+    groups: Vec<SeqGroup>,
+    members: Vec<Vec<SeqMember>>,
+    mesh: Option<TcpMesh>,
+    peer_http: Vec<(HostId, SocketAddr)>,
+}
+
+/// Member `host`'s exporter port under a fixed `base` (host `i` serves
+/// on `base + i`), or `None` past port 65535. A base of 0 gives every
+/// member an ephemeral port.
+fn exporter_port(base: u16, host: u32) -> Option<u16> {
+    if base == 0 {
+        return Some(0);
     }
+    u32::from(base)
+        .checked_add(host)
+        .and_then(|p| u16::try_from(p).ok())
 }
 
 /// A running FT-Linda cluster over the simulated network.
@@ -556,12 +452,10 @@ pub struct Cluster {
     /// Flight recorder, when a dump directory was configured.
     flight: Option<Arc<FlightRecorder>>,
     monitor: Mutex<Option<JoinHandle<()>>>,
-    /// Push-gateway thread, when push mode was configured.
-    pusher: Mutex<Option<JoinHandle<()>>>,
-    /// Time-series sampler thread, unless `no_timeseries`.
+    /// Time-series sampler thread.
     sampler: Mutex<Option<JoinHandle<()>>>,
     /// Bounded ring of periodic metric snapshots (`/timeseries`).
-    timeseries: Option<Arc<linda_obs::TimeSeriesRing>>,
+    timeseries: Arc<linda_obs::TimeSeriesRing>,
     /// Observability configuration every runtime (including restarted
     /// incarnations) is built with.
     run_cfg: RuntimeConfig,
@@ -661,11 +555,8 @@ impl Cluster {
             hs
         };
         for host in hosts {
-            let port = if base_port == 0 {
-                0
-            } else {
-                base_port + host.0 as u16
-            };
+            let port =
+                exporter_port(base_port, host.0).expect("exporter ports checked by try_build");
             // Every closure samples the runtimes map, not a pinned
             // Runtime, so endpoints keep reflecting the live incarnation
             // across crash/restart cycles (the exporter itself models an
@@ -784,8 +675,7 @@ impl Cluster {
             };
             let timeseries = {
                 let ring = self.timeseries.clone();
-                Arc::new(move || ring.as_ref().map(|r| r.to_json()))
-                    as Arc<dyn Fn() -> Option<String> + Send + Sync>
+                Arc::new(move || ring.to_json()) as Arc<dyn Fn() -> String + Send + Sync>
             };
             match HttpExporter::spawn(
                 port,
@@ -849,7 +739,7 @@ impl Cluster {
     }
 
     /// One Prometheus text page for the whole group: the cluster
-    /// registry (divergence counter, push counters) merged with every
+    /// registry (divergence counter, sampled shard gauges) merged with every
     /// *live* member's registry — counters/gauges/family children sum,
     /// histograms merge bucket-wise. Under [`Transport::Tcp`] the live
     /// peers' registries are fetched over `/metrics/snapshot`, so the
@@ -865,91 +755,12 @@ impl Cluster {
         federate_metrics(&sources, &live, &self.obs).render()
     }
 
-    fn spawn_pusher(&self, url: String, interval: Duration) {
-        let runtimes = self.runtimes.clone();
-        let obs = self.obs.clone();
-        let net = self.groups[0].transport().clone();
-        let stop = self.stop.clone();
-        let pushes = obs.counter(
-            "ftlinda_pushes_total",
-            "Successful metric pushes to the configured push gateway",
-        );
-        let failures = obs.counter(
-            "ftlinda_push_failures_total",
-            "Metric pushes the push gateway refused or never received",
-        );
-        let handle = std::thread::Builder::new()
-            .name("ftlinda-push".into())
-            .spawn(move || {
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(interval);
-                    // Snapshot the texts first so no lock is held during
-                    // network I/O.
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
-                    let pages: Vec<(String, String)> = {
-                        let map = runtimes.lock();
-                        let mut hosts: Vec<&HostId> = map.keys().collect();
-                        hosts.sort_by_key(|h| h.0);
-                        let mut pages: Vec<(String, String)> = hosts
-                            .into_iter()
-                            .filter(|h| live.contains(h))
-                            .map(|h| {
-                                (
-                                    format!("{}/instance/{}", url.trim_end_matches('/'), h.0),
-                                    map[h].metrics_text(),
-                                )
-                            })
-                            .collect();
-                        // The base-URL page is the merged cluster view,
-                        // not the bare cluster registry: merging keeps
-                        // the members' shard-labeled family children, so
-                        // the gateway sees the same per-shard series as
-                        // /metrics/cluster.
-                        pages.push((
-                            url.trim_end_matches('/').to_string(),
-                            aggregate_metrics(&map, &obs, &live),
-                        ));
-                        pages
-                    };
-                    for (target, body) in pages {
-                        match http_post_metrics(&target, &body) {
-                            Ok(status) if (200..300).contains(&status) => pushes.inc(),
-                            Ok(status) => {
-                                failures.inc();
-                                obs.events().emit(linda_obs::Event::new(
-                                    "push_failed",
-                                    vec![
-                                        ("target".into(), target),
-                                        ("status".into(), status.to_string()),
-                                    ],
-                                ));
-                            }
-                            Err(e) => {
-                                failures.inc();
-                                obs.events().emit(linda_obs::Event::new(
-                                    "push_failed",
-                                    vec![
-                                        ("target".into(), target),
-                                        ("error".into(), e.to_string()),
-                                    ],
-                                ));
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawn push gateway thread");
-        *self.pusher.lock() = Some(handle);
-    }
-
     /// Time-series sampler: every `interval`, refresh the cluster-level
     /// per-shard gauges (ordered multicasts per lane, tuple-load
     /// imbalance) and append one snapshot of the selected series to the
     /// bounded ring served as `/timeseries`.
     fn spawn_sampler(&self, interval: Duration) {
-        let Some(ring) = self.timeseries.clone() else {
-            return;
-        };
+        let ring = self.timeseries.clone();
         let runtimes = self.runtimes.clone();
         let obs = self.obs.clone();
         let net = self.groups[0].transport().clone();
@@ -1021,10 +832,9 @@ impl Cluster {
         *self.sampler.lock() = Some(handle);
     }
 
-    /// The in-memory metrics time-series ring, unless disabled with
-    /// [`ClusterBuilder::no_timeseries`]. Serialized as `/timeseries` on
-    /// every member's exporter.
-    pub fn timeseries(&self) -> Option<Arc<linda_obs::TimeSeriesRing>> {
+    /// The in-memory metrics time-series ring. Serialized as
+    /// `/timeseries` on every member's exporter.
+    pub fn timeseries(&self) -> Arc<linda_obs::TimeSeriesRing> {
         self.timeseries.clone()
     }
 
@@ -1045,7 +855,7 @@ impl Cluster {
             &self.obs,
             self.groups[0].stats(),
             &live,
-            self.timeseries.as_deref(),
+            &self.timeseries,
         );
         Some(flight.dump(reason, &sections))
     }
@@ -1094,7 +904,7 @@ impl Cluster {
                     if let Some(reason) = fire {
                         let live: Vec<HostId> = net.live_hosts();
                         let sections =
-                            flight_sections(&runtimes.lock(), &obs, &stats, &live, ring.as_deref());
+                            flight_sections(&runtimes.lock(), &obs, &stats, &live, &ring);
                         let _ = flight.dump(reason, &sections);
                     }
                 }
@@ -1117,7 +927,7 @@ impl Cluster {
     /// ordered into the stream.
     pub fn restart(&self, host: HostId) -> Runtime {
         // The fresh incarnation keeps the cluster's observability
-        // configuration (watchdog threshold, introspection switch).
+        // configuration (watchdog threshold).
         let members: Vec<SeqMember> = self.groups.iter().map(|g| g.restart(host)).collect();
         let rt = Runtime::with_members(members, self.run_cfg.clone());
         self.runtimes.lock().insert(host, rt.clone());
@@ -1171,16 +981,6 @@ impl Cluster {
         self.groups[shard].stats()
     }
 
-    /// The group-commit configuration the sequencer runs with.
-    pub fn batch_config(&self) -> BatchConfig {
-        self.groups[0].batch_config()
-    }
-
-    /// The checkpoint/compaction configuration the sequencer runs with.
-    pub fn checkpoint_config(&self) -> CheckpointConfig {
-        self.groups[0].checkpoint_config()
-    }
-
     /// Tear everything down (idempotent).
     pub fn shutdown(&self) {
         self.stop.store(true, AtomicOrdering::Relaxed);
@@ -1188,9 +988,6 @@ impl Cluster {
             let _ = h.join();
         }
         if let Some(h) = self.monitor.lock().take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.pusher.lock().take() {
             let _ = h.join();
         }
         if let Some(h) = self.sampler.lock().take() {
@@ -1236,20 +1033,6 @@ fn member_sources(
     }
     out.sort_by_key(|s| s.host().0);
     out
-}
-
-/// Merge the cluster registry with every live member's registry into one
-/// Prometheus text page. Local-only (no peer scraping): the sampler and
-/// pusher run on tight periodic loops where a dead peer's connect
-/// timeout would stall the tick, so they federate over in-process
-/// sources; the scrape-time pages ([`Cluster::cluster_metrics_text`])
-/// fan out to peers.
-fn aggregate_metrics(
-    runtimes: &HashMap<HostId, Runtime>,
-    obs: &linda_obs::Registry,
-    live: &HashSet<HostId>,
-) -> String {
-    federate_metrics(&member_sources(runtimes, &[]), live, obs).render()
 }
 
 /// The `/healthz` JSON for one member: liveness, applied position,
@@ -1304,7 +1087,7 @@ fn flight_sections(
     obs: &linda_obs::Registry,
     stats: &consul_sim::OrderStats,
     live: &[HostId],
-    timeseries: Option<&linda_obs::TimeSeriesRing>,
+    timeseries: &linda_obs::TimeSeriesRing,
 ) -> Vec<FlightSection> {
     let live_set: HashSet<HostId> = live.iter().copied().collect();
     let mut hosts: Vec<HostId> = runtimes.keys().copied().collect();
@@ -1345,9 +1128,7 @@ fn flight_sections(
             stats.batch_entries()
         ),
     ));
-    if let Some(ring) = timeseries {
-        sections.push(FlightSection::new("timeseries", ring.to_json()));
-    }
+    sections.push(FlightSection::new("timeseries", timeseries.to_json()));
     sections
 }
 

@@ -50,8 +50,7 @@ pub use runtime::{
     pattern_fields, rebuild_tuple, AgsHandle, CompletionOk, FtEvent, Runtime, RuntimeConfig,
 };
 pub use server::{
-    events_json_lines, http_get, http_post_metrics, ExporterSources, HttpExporter, RpcClient,
-    TupleServer,
+    events_json_lines, http_get, ExporterSources, HttpExporter, RpcClient, TupleServer,
 };
 
 // Re-export the pieces users need to build AGSs and patterns.
@@ -59,7 +58,7 @@ pub use consul_sim::{BatchConfig, CheckpointConfig, Heartbeat, HostId, NetConfig
 pub use ftlinda_ags::{Ags, AgsOutcome, MatchField, Operand, ScratchId, TsId};
 pub use ftlinda_kernel::{
     BlockedReport, ExecError, IndexReport, IntrospectReport, MatchStats, SignatureOccupancy,
-    SpaceReport, StarvationReport, StoreConfig, FAILURE_TUPLE_HEAD,
+    SpaceReport, StarvationReport, FAILURE_TUPLE_HEAD,
 };
 /// Observability primitives (metrics registry, histograms, event sink).
 pub use linda_obs as obs;

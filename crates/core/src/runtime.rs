@@ -34,7 +34,7 @@ use ftlinda_ags::{
 };
 use ftlinda_kernel::{
     encode_request, IntrospectReport, Kernel, KernelNote, Request, ShardSpec, SigBucket,
-    StoreConfig, XStageResult,
+    XStageResult,
 };
 use linda_space::LocalSpace;
 use linda_tuple::{PatField, Pattern, Tuple, Value};
@@ -57,38 +57,13 @@ pub enum FtEvent {
 type CompletionTx = Sender<Result<CompletionOk, FtError>>;
 
 /// Observability configuration for one [`Runtime`] (set through
-/// [`crate::ClusterBuilder`]; [`Runtime::new`] uses the defaults).
+/// [`crate::ClusterBuilder`]).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Emit an `ags_starving` event each time a blocked AGS's age crosses
     /// a further multiple of this threshold. `None` disables the
     /// watchdog thread.
     pub starvation_after: Option<Duration>,
-    /// Deep introspection: per-signature occupancy/match-cost metric
-    /// families and the `/introspect` endpoint. When `false` the kernel
-    /// keeps only its scalar gauges and [`Runtime::introspect`] returns
-    /// `None`.
-    pub introspection: bool,
-    /// Matching-engine tuning for the kernel's stable stores: value-index
-    /// promotion thresholds and the miss-cache capacity. Derived state
-    /// only — never affects match results or the replicated digest.
-    pub store: StoreConfig,
-    /// Per-signature overrides of `store`, keyed by signature
-    /// stable-hash: a hot signature can get its own promotion thresholds
-    /// or miss-cache capacity without retuning every bucket. Derived
-    /// state only, like `store`.
-    pub store_overrides: Vec<(u64, StoreConfig)>,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            starvation_after: Some(Duration::from_secs(5)),
-            introspection: true,
-            store: StoreConfig::default(),
-            store_overrides: Vec::new(),
-        }
-    }
 }
 
 /// Successful completion payload routed back to a waiting client.
@@ -163,22 +138,11 @@ enum RouteTo {
 }
 
 impl Runtime {
-    /// Wire a runtime on top of an ordered-multicast member. Spawns the
-    /// apply thread. (Use [`crate::Cluster`] rather than calling this
-    /// directly.)
-    pub fn new(member: SeqMember) -> Runtime {
-        Runtime::with_config(member, RuntimeConfig::default())
-    }
-
-    /// [`Runtime::new`] with explicit observability configuration —
-    /// starvation-watchdog threshold and deep-introspection switch.
-    pub fn with_config(member: SeqMember, config: RuntimeConfig) -> Runtime {
-        Runtime::with_members(vec![member], config)
-    }
-
     /// Wire a runtime over one ordering member per shard (all for the
     /// same host). `members[i]` carries shard `i`'s total order; each
     /// gets its own replica kernel scoped to that shard's buckets.
+    /// Spawns one apply thread per shard. (Use [`crate::Cluster`] rather
+    /// than calling this directly.)
     pub fn with_members(members: Vec<SeqMember>, config: RuntimeConfig) -> Runtime {
         assert!(!members.is_empty(), "at least one shard member");
         let host = members[0].host();
@@ -210,15 +174,11 @@ impl Runtime {
         for (i, member) in members.into_iter().enumerate() {
             let (note_tx, note_rx) = crossbeam::channel::unbounded::<KernelNote>();
             let mut kernel = Kernel::new(host, note_tx);
-            kernel.set_store_config(config.store);
-            for (sig, cfg) in &config.store_overrides {
-                kernel.set_store_config_override(*sig, *cfg);
-            }
             kernel.set_shard(ShardSpec {
                 index: i as u32,
                 count: shard_count,
             });
-            kernel.attach_obs_with(&member.obs(), config.introspection);
+            kernel.attach_obs(&member.obs());
             lanes.push(Lane {
                 member: Arc::new(member),
                 kernel: Mutex::new(kernel),
@@ -1002,27 +962,24 @@ impl Runtime {
 
     /// Deep introspection snapshot of this replica: per-space signature
     /// census, match-cost totals, and the blocked-AGS table with ages.
-    /// `None` when the runtime was built with introspection disabled.
     /// With multiple shards, shard 0's report (see
     /// [`Runtime::introspect_shard`]).
     pub fn introspect(&self) -> Option<IntrospectReport> {
         self.introspect_shard(0)
     }
 
-    /// [`Runtime::introspect`] for one shard's kernel.
+    /// [`Runtime::introspect`] for one shard's kernel (`None` past the
+    /// last shard).
     pub fn introspect_shard(&self, shard: usize) -> Option<IntrospectReport> {
-        if !self.shared.config.introspection || shard >= self.shared.lanes.len() {
-            return None;
-        }
-        Some(self.shared.lanes[shard].kernel.lock().introspect())
+        let lane = self.shared.lanes.get(shard)?;
+        Some(lane.kernel.lock().introspect())
     }
 
     /// The `/introspect` JSON payload. Unsharded: the
     /// [`Runtime::introspect`] report plus the top-`k` hottest signatures
     /// across all spaces (by current occupancy). Sharded: a shard map —
     /// `{"host":…,"shards":K,"shard_reports":[…]}` with one full report
-    /// per shard, each tagged with its shard id. `None` when
-    /// introspection is disabled.
+    /// per shard, each tagged with its shard id.
     pub fn introspect_json(&self, top_k: usize) -> Option<String> {
         let shards = self.shared.lanes.len();
         if shards == 1 {

@@ -176,16 +176,16 @@ pub struct ExporterSources {
     /// `/trace/<id>`: the cross-replica span tree for one AGS, as JSON.
     pub trace: Arc<dyn Fn(TraceId) -> String + Send + Sync>,
     /// `/introspect`: per-space signature histogram, blocked-AGS table
-    /// and hot signatures as JSON; `None` renders 404 (introspection
-    /// disabled on this cluster).
+    /// and hot signatures as JSON; `None` renders 404 (no runtime for
+    /// this member in the serving process).
     pub introspect: Arc<dyn Fn() -> Option<String> + Send + Sync>,
     /// `/metrics/cluster`: Prometheus text merging the registries of the
     /// cluster itself and every live member — one scrape target for the
     /// whole group.
     pub cluster_metrics: Arc<dyn Fn() -> String + Send + Sync>,
     /// `/timeseries`: the bounded ring of periodic metric snapshots as
-    /// JSON; `None` renders 404 (sampler disabled on this cluster).
-    pub timeseries: Arc<dyn Fn() -> Option<String> + Send + Sync>,
+    /// JSON.
+    pub timeseries: Arc<dyn Fn() -> String + Send + Sync>,
     /// `/metrics/snapshot`: this process's merged registry snapshot in
     /// the `ftlsnap` wire format ([`linda_obs::RegistrySnapshot::to_wire`]).
     /// The federation *leaf*: it never fans out to peers, so fan-out
@@ -307,12 +307,12 @@ fn serve_connection(mut stream: TcpStream, sources: &ExporterSources) -> std::io
         }
         "/introspect" => match (sources.introspect)() {
             Some(body) => respond(&mut stream, 200, "application/json", &body),
-            None => respond(&mut stream, 404, "text/plain", "introspection disabled"),
+            None => respond(&mut stream, 404, "text/plain", "no runtime for this member"),
         },
-        "/timeseries" => match (sources.timeseries)() {
-            Some(body) => respond(&mut stream, 200, "application/json", &body),
-            None => respond(&mut stream, 404, "text/plain", "time-series sampler disabled"),
-        },
+        "/timeseries" => {
+            let body = (sources.timeseries)();
+            respond(&mut stream, 200, "application/json", &body)
+        }
         "/healthz" => {
             let body = (sources.health)();
             respond(&mut stream, 200, "application/json", &body)
@@ -454,63 +454,12 @@ pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Res
     Ok((status, body))
 }
 
-// ---------------------------------------------------------------------------
-// Push-gateway client
-// ---------------------------------------------------------------------------
-
-/// POST `body` (Prometheus text) to an `http://host:port/path` URL with a
-/// short timeout, returning the response status code. std-only — the
-/// push-gateway client counterpart of [`HttpExporter`], used by
-/// [`crate::ClusterBuilder::push_gateway`] mode.
-pub fn http_post_metrics(url: &str, body: &str) -> std::io::Result<u16> {
-    let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidInput, m.to_string());
-    let rest = url
-        .strip_prefix("http://")
-        .ok_or_else(|| bad("push gateway URL must start with http://"))?;
-    let (authority, path) = match rest.find('/') {
-        Some(i) => (&rest[..i], &rest[i..]),
-        None => (rest, "/"),
-    };
-    let mut stream = TcpStream::connect(authority)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let head = format!(
-        "POST {path} HTTP/1.1\r\nHost: {authority}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    // Read just the status line; push gateways answer 200/202 with an
-    // empty body.
-    let mut buf = Vec::with_capacity(128);
-    let mut chunk = [0u8; 256];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.windows(2).any(|w| w == b"\r\n") {
-                    break;
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let line = String::from_utf8_lossy(&buf);
-    line.split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed push gateway response"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use ftlinda_ags::{MatchField as MF, Operand};
     use linda_tuple::TypeTag;
-    use std::net::TcpListener;
 
     #[test]
     fn rpc_client_round_trip() {
@@ -544,96 +493,6 @@ mod tests {
             linda_tuple::tuple!("from-rpc")
         );
         cluster.shutdown();
-    }
-
-    #[test]
-    fn http_post_metrics_round_trip() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut buf = Vec::new();
-            let mut chunk = [0u8; 256];
-            loop {
-                let n = s.read(&mut chunk).unwrap();
-                buf.extend_from_slice(&chunk[..n]);
-                if n == 0 || String::from_utf8_lossy(&buf).contains("push_me 1") {
-                    break;
-                }
-            }
-            s.write_all(b"HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n")
-                .unwrap();
-            String::from_utf8_lossy(&buf).to_string()
-        });
-        let url = format!("http://{addr}/metrics/job/ftlinda/instance/0");
-        let status = http_post_metrics(&url, "push_me 1\n").unwrap();
-        assert_eq!(status, 202);
-        let seen = server.join().unwrap();
-        assert!(seen.starts_with("POST /metrics/job/ftlinda/instance/0 HTTP/1.1\r\n"));
-        assert!(seen.contains("Content-Length: 10"));
-        assert!(seen.ends_with("push_me 1\n"));
-    }
-
-    #[test]
-    fn pushed_cluster_page_keeps_shard_labels_through_merge() {
-        // Two "members", each contributing shard-labeled family children;
-        // the pushed base-URL page must carry every child through the
-        // snapshot merge (the old pusher sent only the bare cluster
-        // registry, which has none).
-        let member0 = linda_obs::Registry::new();
-        member0
-            .counter_family("ftlinda_shard_ags_total", "per-shard AGS applies")
-            .with(&[("shard", "0")])
-            .add(3);
-        let member1 = linda_obs::Registry::new();
-        member1
-            .counter_family("ftlinda_shard_ags_total", "per-shard AGS applies")
-            .with(&[("shard", "1")])
-            .add(5);
-        let cluster = linda_obs::Registry::new();
-        let mut snap = cluster.snapshot();
-        snap.merge(&member0.snapshot());
-        snap.merge(&member1.snapshot());
-        let page = snap.render();
-        assert!(
-            page.contains("ftlinda_shard_ags_total{shard=\"0\"} 3"),
-            "{page}"
-        );
-        assert!(
-            page.contains("ftlinda_shard_ags_total{shard=\"1\"} 5"),
-            "{page}"
-        );
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut buf = Vec::new();
-            let mut chunk = [0u8; 512];
-            loop {
-                let n = s.read(&mut chunk).unwrap();
-                buf.extend_from_slice(&chunk[..n]);
-                if n == 0 || String::from_utf8_lossy(&buf).contains("shard=\"1\"") {
-                    break;
-                }
-            }
-            s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
-                .unwrap();
-            String::from_utf8_lossy(&buf).to_string()
-        });
-        let status = http_post_metrics(&format!("http://{addr}/"), &page).unwrap();
-        assert_eq!(status, 200);
-        let seen = server.join().unwrap();
-        assert!(seen.contains("ftlinda_shard_ags_total{shard=\"0\"} 3"));
-        assert!(seen.contains("ftlinda_shard_ags_total{shard=\"1\"} 5"));
-    }
-
-    #[test]
-    fn http_post_metrics_rejects_bad_urls_and_dead_targets() {
-        assert!(http_post_metrics("ftp://x/metrics", "m 1\n").is_err());
-        // A port nothing listens on: connection refused surfaces as Err,
-        // which the push thread counts as a push failure.
-        assert!(http_post_metrics("http://127.0.0.1:1/metrics", "m 1\n").is_err());
     }
 
     #[test]

@@ -161,28 +161,6 @@ fn checkpoint_observability_surfaces() {
     cluster.shutdown();
 }
 
-#[test]
-fn compaction_disabled_keeps_full_log() {
-    let (cluster, rts) = Cluster::builder()
-        .hosts(2)
-        .checkpoint_every(8)
-        .no_compaction()
-        .no_http()
-        .build();
-    let ts = rts[0].create_stable_ts("main").unwrap();
-    for k in 0..50 {
-        rts[0].out(ts, tuple!("x", k as i64)).unwrap();
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while rts[0].checkpoint_seq().is_none() {
-        assert!(Instant::now() < deadline, "checkpoints still taken");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(rts[0].log_base(), 0, "no truncation without compaction");
-    assert!(rts[0].retained_log_len() > 50, "full log retained");
-    cluster.shutdown();
-}
-
 /// Regression guard for the seed behavior: with checkpoints disabled the
 /// protocol is unchanged and rejoin replays the full log.
 #[test]

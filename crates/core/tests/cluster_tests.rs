@@ -358,3 +358,24 @@ fn move_between_stable_spaces_over_cluster() {
     assert_eq!(rts[1].in_(b, &pat!("job", ?int)).unwrap(), tuple!("job", 0));
     cluster.shutdown();
 }
+
+#[test]
+fn try_build_rejects_http_base_port_past_u16() {
+    // Host i's exporter serves on base + i: three hosts from 65534 would
+    // need port 65536.
+    match Cluster::builder()
+        .hosts(3)
+        .http_base_port(65534)
+        .try_build()
+    {
+        Ok(_) => panic!("exporter port range overflow accepted"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+    }
+    // Two hosts end exactly at 65535.
+    let (cluster, _rts) = Cluster::builder()
+        .hosts(2)
+        .http_base_port(65534)
+        .try_build()
+        .expect("last member on port 65535 fits");
+    cluster.shutdown();
+}

@@ -19,9 +19,7 @@ use crate::exec::{guard_keys, guard_labels, try_execute, ExecError, TryOutcome};
 use crate::proto::{decode_request, Request, SigBucket};
 use consul_sim::{Delivery, HostId, LocalId};
 use ftlinda_ags::{shard_of, Ags, AgsOutcome, ScratchId, TsId};
-use linda_space::{
-    IndexReport, IndexedStore, LocalSpace, MatchStats, SignatureOccupancy, Store, StoreConfig,
-};
+use linda_space::{IndexReport, IndexedStore, LocalSpace, MatchStats, SignatureOccupancy, Store};
 use linda_tuple::{tuple, Tuple};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -244,7 +242,7 @@ struct KernelObs {
     /// here).
     events: Arc<linda_obs::EventSink>,
     /// Whether the per-signature workload families below are kept
-    /// current (disabled by `no_introspection()`).
+    /// current (see [`Kernel::attach_obs_with`]).
     deep: bool,
     /// `ftlinda_ts_tuples{space,signature}` — current occupancy.
     ts_tuples: Arc<linda_obs::GaugeFamily>,
@@ -273,8 +271,8 @@ struct KernelObs {
     value_indexes: Arc<linda_obs::GaugeFamily>,
     /// `ftlinda_blocked_retries_total{signature,outcome}` — every
     /// re-probe of a blocked guard: `wasted` (still blocked), `fired`,
-    /// or `failed`. The `wasted` series is the cost `retry_blocked_full`
-    /// pays on view changes.
+    /// or `failed`. The `wasted` series counts guards a same-signature
+    /// deposit woke that still could not fire.
     retries: Arc<linda_obs::CounterFamily>,
     /// Last-seen per-space match stats, for delta-feeding the counters.
     prev_match: HashMap<TsId, MatchStats>,
@@ -395,8 +393,8 @@ pub struct Kernel {
     next_blocked_id: u64,
     /// Inverted index: `(space, guard-signature-hash)` → blocked ids.
     /// A deposit can only wake guards under its own key, so retries
-    /// after an AGS fires touch matching guards instead of rescanning
-    /// the whole queue (`Fail` records still trigger a full pass).
+    /// after an AGS fires or a failure tuple lands touch matching guards
+    /// instead of rescanning the whole queue.
     guard_index: HashMap<(TsId, u64), BTreeSet<u64>>,
     notes: crossbeam::channel::Sender<KernelNote>,
     applied: u64,
@@ -404,13 +402,6 @@ pub struct Kernel {
     /// until the runtime hands it to the ordering layer for compaction.
     pending_checkpoint: Option<KernelCheckpoint>,
     obs: Option<KernelObs>,
-    /// Matching-engine knobs applied to newly created stable stores
-    /// (pure derived state — see [`Kernel::set_store_config`]).
-    store_cfg: StoreConfig,
-    /// Per-signature knob overrides, applied on top of `store_cfg` to
-    /// every store (existing and future). Derived state, like the base
-    /// config.
-    store_overrides: Vec<(u64, StoreConfig)>,
     /// This kernel's shard position; `(0, 1)` when unsharded.
     shard: ShardSpec,
     /// Live cross-shard hold, if this shard is currently frozen.
@@ -433,30 +424,8 @@ impl Kernel {
             applied: 0,
             pending_checkpoint: None,
             obs: None,
-            store_cfg: StoreConfig::default(),
-            store_overrides: Vec::new(),
             shard: ShardSpec::default(),
             hold: None,
-        }
-    }
-
-    /// Set the matching-engine knobs used for every stable store this
-    /// kernel creates from now on (`CreateTs` and checkpoint restore).
-    /// Purely derived state: replicas running different configs still
-    /// withdraw identical tuples, so this never needs to be agreed on.
-    pub fn set_store_config(&mut self, cfg: StoreConfig) {
-        self.store_cfg = cfg;
-    }
-
-    /// Override the matching-engine knobs for one signature (by stable
-    /// hash) in every stable space, current and future. Like the base
-    /// config this is pure derived state — it changes probe costs, never
-    /// match results.
-    pub fn set_store_config_override(&mut self, sig_hash: u64, cfg: StoreConfig) {
-        self.store_overrides.retain(|(s, _)| *s != sig_hash);
-        self.store_overrides.push((sig_hash, cfg));
-        for store in self.stables.values_mut() {
-            store.set_config_override(sig_hash, cfg);
         }
     }
 
@@ -465,15 +434,6 @@ impl Kernel {
     /// shard; it scopes failure-tuple deposits to owned buckets.
     pub fn set_shard(&mut self, shard: ShardSpec) {
         self.shard = shard;
-    }
-
-    /// A stable store with the base config plus all signature overrides.
-    fn new_store(&self) -> IndexedStore {
-        let mut s = IndexedStore::with_config(self.store_cfg);
-        for (sig, cfg) in &self.store_overrides {
-            s.set_config_override(*sig, *cfg);
-        }
-        s
     }
 
     /// Register an owner-local scratch space so AGS bodies can `out`/
@@ -494,8 +454,7 @@ impl Kernel {
     }
 
     /// [`Kernel::attach_obs`] with explicit control over the `deep`
-    /// per-signature families (`false` = scalar gauges and spans only,
-    /// the `no_introspection()` mode).
+    /// per-signature families (`false` = scalar gauges and spans only).
     pub fn attach_obs_with(&mut self, reg: &linda_obs::Registry, deep: bool) {
         self.obs = Some(KernelObs {
             exec_hist: reg.histogram(
@@ -829,25 +788,25 @@ impl Kernel {
             },
             Delivery::Fail { seq, host } => {
                 // Deposit the distinguished failure tuple, then retry
-                // blocked guards (a monitor may be blocked on exactly
-                // this tuple). Under sharding only the shard that owns a
-                // space's failure-signature bucket deposits there, so
-                // the union across shards still shows exactly one tuple
-                // per space.
+                // the guards it can wake (a monitor may be blocked on
+                // exactly this tuple). Under sharding only the shard
+                // that owns a space's failure-signature bucket deposits
+                // there, so the union across shards still shows exactly
+                // one tuple per space.
                 let t = tuple!(FAILURE_TUPLE_HEAD, host.0 as i64);
                 let fail_sig = t.signature().stable_hash();
+                let mut deposited = Vec::new();
                 for (id, store) in self.stables.iter_mut() {
                     if self.shard.owns(*id, fail_sig) {
                         store.insert(t.clone());
+                        deposited.push((*id, fail_sig));
                     }
                 }
                 self.note(KernelNote::HostFailed {
                     seq: *seq,
                     host: *host,
                 });
-                // View changes touch every space at once — fall back to
-                // the full-queue pass rather than seeding per-signature.
-                self.retry_blocked_full();
+                self.retry_blocked_matching(deposited);
             }
             Delivery::Join { seq, host } => {
                 self.note(KernelNote::HostJoined {
@@ -880,7 +839,7 @@ impl Kernel {
                 let id = TsId(self.next_ts);
                 self.next_ts += 1;
                 self.names.insert(name.clone(), id);
-                self.stables.insert(id, self.new_store());
+                self.stables.insert(id, IndexedStore::new());
                 id
             }
         };
@@ -906,9 +865,7 @@ impl Kernel {
     /// Install a space id assigned by shard 0 (`RegisterTs`). Idempotent.
     fn apply_register(&mut self, seq: u64, origin: HostId, local: LocalId, id: u32, name: String) {
         let tsid = TsId(id);
-        if !self.stables.contains_key(&tsid) {
-            self.stables.insert(tsid, self.new_store());
-        }
+        self.stables.entry(tsid).or_default();
         self.names.entry(name.clone()).or_insert(tsid);
         self.next_ts = self.next_ts.max(id + 1);
         self.span(
@@ -1451,66 +1408,6 @@ impl Kernel {
         }
     }
 
-    /// Retry every blocked AGS in arrival order until a full pass fires
-    /// nothing — the fallback for view changes, which deposit failure
-    /// tuples into all spaces at once. Every replica runs the identical
-    /// loop, so blocked-queue evolution is deterministic.
-    fn retry_blocked_full(&mut self) {
-        loop {
-            let mut fired_any = false;
-            let ids: Vec<u64> = self.blocked.keys().copied().collect();
-            for id in ids {
-                if !self.blocked.contains_key(&id) {
-                    continue;
-                }
-                let candidate = &self.blocked[&id];
-                match try_execute(
-                    &mut self.stables,
-                    &candidate.ags,
-                    candidate.origin.0,
-                    candidate.seq,
-                ) {
-                    TryOutcome::Blocked => {
-                        self.count_retry(&self.blocked[&id].labels, "wasted");
-                    }
-                    TryOutcome::Fired {
-                        outcome,
-                        scratch_outs,
-                        ..
-                    } => {
-                        let b = self.unblock(id);
-                        self.count_retry(&b.labels, "fired");
-                        self.wake_span(&b, "fired");
-                        self.commit_scratch(b.origin, scratch_outs);
-                        if b.origin == self.host {
-                            self.note(KernelNote::Completed {
-                                seq: b.seq,
-                                local: b.local,
-                                result: Ok(outcome),
-                            });
-                        }
-                        fired_any = true;
-                    }
-                    TryOutcome::Failed(e) => {
-                        let b = self.unblock(id);
-                        self.count_retry(&b.labels, "failed");
-                        self.wake_span(&b, "failed");
-                        if b.origin == self.host {
-                            self.note(KernelNote::Completed {
-                                seq: b.seq,
-                                local: b.local,
-                                result: Err(e),
-                            });
-                        }
-                    }
-                }
-            }
-            if !fired_any {
-                return;
-            }
-        }
-    }
-
     fn commit_scratch(&mut self, origin: HostId, outs: Vec<(ScratchId, Tuple)>) {
         if origin != self.host {
             return;
@@ -1864,7 +1761,7 @@ impl Kernel {
             // Fresh stores: indexes and the miss cache are derived state
             // and deliberately absent from the image; they rebuild from
             // live traffic.
-            let mut store = self.new_store();
+            let mut store = IndexedStore::new();
             for t in tuples {
                 store.insert(t);
             }
@@ -2101,6 +1998,68 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn crash_wakes_monitor_whose_out_cascades_to_older_blocked_ags() {
+        // An older AGS waits on ("work", ?int); a monitor blocked on the
+        // failure tuple outs ("work", host) when it fires; an unrelated
+        // guard waits on ("nothing"). The crash must fire both the
+        // monitor and, through its deposit, the older AGS — without
+        // re-probing the guard whose signature nothing deposited.
+        let worker = Ags::in_one(TsId(0), vec![MF::actual("work"), MF::bind(Int)]).unwrap();
+        let monitor = Ags::builder()
+            .guard_in(TsId(0), vec![MF::actual(FAILURE_TUPLE_HEAD), MF::bind(Int)])
+            .out(TsId(0), vec![Operand::cst("work"), Operand::formal(0)])
+            .build()
+            .unwrap();
+        let unrelated = Ags::in_one(TsId(0), vec![MF::actual("nothing")]).unwrap();
+        let stream = vec![
+            app(1, 0, 1, &Request::CreateTs { name: "m".into() }),
+            app(2, 0, 2, &Request::Ags(worker)),
+            app(3, 1, 1, &Request::Ags(monitor)),
+            app(4, 1, 2, &Request::Ags(unrelated)),
+            Delivery::Fail {
+                seq: 5,
+                host: HostId(2),
+            },
+        ];
+        let (tx0, rx0) = crossbeam::channel::unbounded();
+        let (tx1, _rx1) = crossbeam::channel::unbounded();
+        let mut k0 = Kernel::new(HostId(0), tx0);
+        let mut k1 = Kernel::new(HostId(1), tx1);
+        let reg = linda_obs::Registry::new();
+        k0.attach_obs(&reg);
+        for d in &stream {
+            k0.apply(d);
+            k1.apply(d);
+        }
+        for k in [&k0, &k1] {
+            assert_eq!(k.blocked_len(), 1, "only the unrelated guard waits");
+            assert_eq!(k.stable_len(TsId(0)), Some(0), "failure and work consumed");
+        }
+        assert_eq!(k0.digest(), k1.digest());
+        assert!(rx0.try_iter().any(|n| matches!(
+            n,
+            KernelNote::Completed { local: 2, result: Ok(o), .. } if o.bindings == vec![Value::Int(2)]
+        )));
+        let snap = reg.snapshot();
+        let retries = snap
+            .counter_family("ftlinda_blocked_retries_total")
+            .expect("retry family registered");
+        let count = |label: &str| -> u64 {
+            retries
+                .iter()
+                .filter(|(labels, _)| labels.contains(label))
+                .map(|(_, n)| *n)
+                .sum()
+        };
+        assert_eq!(count("outcome=\"fired\""), 2);
+        assert_eq!(
+            count("signature=\"ts0:<str>\""),
+            0,
+            "a guard under no deposited key is never re-probed"
+        );
     }
 
     #[test]
@@ -2913,36 +2872,6 @@ mod tests {
         );
         // Empty and missing spaces digest to 0.
         assert_eq!(u.canonical_space_digest(TsId(9)), 0);
-    }
-
-    #[test]
-    fn per_signature_store_override_reaches_existing_and_future_stores() {
-        let (mut k, _rx) = kernel();
-        k.apply(&app(1, 0, 1, &Request::CreateTs { name: "a".into() }));
-        let sig = tuple!("x", 1).signature().stable_hash();
-        // Disable the miss cache for <str,int> everywhere.
-        k.set_store_config_override(
-            sig,
-            StoreConfig {
-                miss_cache_cap: 0,
-                ..StoreConfig::default()
-            },
-        );
-        k.apply(&app(2, 0, 2, &Request::CreateTs { name: "b".into() }));
-        // Probe both spaces with a missing <str,int> pattern twice: with
-        // the cache disabled nothing is cached.
-        for ts in [TsId(0), TsId(1)] {
-            let probe = Ags::inp_one(ts, vec![MF::actual("x"), MF::actual(1)]).unwrap();
-            k.apply(&app(
-                10 + ts.0 as u64,
-                0,
-                10 + ts.0 as u64,
-                &Request::Ags(probe),
-            ));
-        }
-        for sp in &k.introspect().spaces {
-            assert_eq!(sp.index.miss_cached, 0, "override disabled the cache");
-        }
     }
 
     #[test]

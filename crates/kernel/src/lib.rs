@@ -25,5 +25,5 @@ pub use kernel_mod::{
     BlockedReport, IntrospectReport, Kernel, KernelNote, ShardSpec, SpaceReport, StarvationReport,
     XStageResult, FAILURE_TUPLE_HEAD,
 };
-pub use linda_space::{IndexReport, MatchStats, SignatureOccupancy, StoreConfig};
+pub use linda_space::{IndexReport, MatchStats, SignatureOccupancy};
 pub use proto::{decode_request, encode_request, Request, SigBucket};

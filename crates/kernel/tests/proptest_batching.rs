@@ -5,7 +5,7 @@
 //! converge to identical digests at every prefix.
 
 use bytes::Bytes;
-use consul_sim::{BatchConfig, Delivery, HostId, NetConfig, SeqGroup};
+use consul_sim::{BatchConfig, CheckpointConfig, Delivery, HostId, NetConfig, SeqGroup};
 use ftlinda_ags::{Ags, MatchField as MF, Operand, TsId};
 use ftlinda_kernel::{encode_request, Kernel, Request};
 use linda_tuple::TypeTag;
@@ -61,7 +61,7 @@ fn ordered_stream(reqs: &[Bytes], batch: BatchConfig) -> Vec<Delivery> {
         latency: Duration::from_micros(200),
         ..NetConfig::default()
     };
-    let (g, ms) = SeqGroup::new_with_batch(3, cfg, batch);
+    let (g, ms) = SeqGroup::new_with(3, cfg, batch, CheckpointConfig::disabled());
     for r in reqs {
         ms[1].broadcast(r.clone());
     }

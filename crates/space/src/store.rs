@@ -46,12 +46,12 @@ use linda_tuple::{PatField, Pattern, Signature, StableMap, Tuple, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// Tuning knobs for the adaptive matching engine. The defaults suit the
-/// benchmark workloads; every knob is plumbed through
-/// `ClusterBuilder::store_config` so deployments can tune without
-/// recompiling.
+/// Tuning knobs for the adaptive matching engine, set per store with
+/// [`IndexedStore::with_config`], [`AdaptiveStore::with_config`] or
+/// `LocalSpace::with_store_config`. Cluster kernels run the defaults,
+/// which suit the benchmark workloads.
 ///
-/// Different replicas may run different configs: everything these knobs
+/// Different stores may run different configs: everything these knobs
 /// control is derived state and never affects match results, digests, or
 /// the wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -627,11 +627,6 @@ pub struct IndexedStore {
     census: StableMap<u64, SignatureOccupancy>,
     matches: MatchCounters,
     cfg: StoreConfig,
-    /// Per-signature [`StoreConfig`] overrides (hash of the signature →
-    /// knobs). A bucket with an override ignores the store-wide `cfg`
-    /// entirely. Like everything else the knobs control, overrides are
-    /// derived state: replicas may disagree on them without diverging.
-    overrides: StableMap<u64, StoreConfig>,
     miss_cache: MissCache,
     index_builds: Cell<u64>,
     index_demotions: Cell<u64>,
@@ -651,17 +646,6 @@ impl IndexedStore {
         }
     }
 
-    /// Override the tuning knobs for one signature (by stable hash),
-    /// leaving every other bucket on the store-wide default.
-    pub fn set_config_override(&mut self, sig_hash: u64, cfg: StoreConfig) {
-        self.overrides.insert(sig_hash, cfg);
-    }
-
-    /// The effective knobs for the bucket keyed by `sig_hash`.
-    fn cfg_for(&self, sig_hash: u64) -> StoreConfig {
-        self.overrides.get(&sig_hash).copied().unwrap_or(self.cfg)
-    }
-
     fn bucket_for_pattern(&self, p: &Pattern) -> Option<&Bucket> {
         self.buckets.get(&p.signature().stable_hash())
     }
@@ -674,7 +658,7 @@ impl IndexedStore {
     fn insert_at(&mut self, seq: u64, t: Tuple) -> bool {
         let sig = t.signature();
         let key = sig.stable_hash();
-        let cfg = self.cfg_for(key);
+        let cfg = self.cfg;
         self.miss_cache.invalidate(key, &t);
         let bucket = self.buckets.entry(key).or_default();
         let fresh = bucket.insert(seq, t);
@@ -727,7 +711,7 @@ impl IndexedStore {
             return None;
         }
         let key = p.signature().stable_hash();
-        let cfg = self.cfg_for(key);
+        let cfg = self.cfg;
         let Some(bucket) = self.buckets.get_mut(&key) else {
             self.matches.record(0, 0);
             self.miss_cache.note_miss(p, cfg.miss_cache_cap);
@@ -756,7 +740,7 @@ impl IndexedStore {
             return Vec::new();
         }
         let key = p.signature().stable_hash();
-        let cfg = self.cfg_for(key);
+        let cfg = self.cfg;
         let Some(bucket) = self.buckets.get_mut(&key) else {
             self.matches.record(0, 0);
             self.miss_cache.note_miss(p, cfg.miss_cache_cap);
@@ -783,7 +767,7 @@ impl IndexedStore {
 
     /// Remove the tuple inserted under `seq` (undo of `insert_tracked`).
     pub fn remove_at(&mut self, seq: u64, sig_hash: u64) -> Option<Tuple> {
-        let cfg = self.cfg_for(sig_hash);
+        let cfg = self.cfg;
         let bucket = self.buckets.get_mut(&sig_hash)?;
         let t = bucket.remove(seq)?;
         bucket.maybe_demote(&cfg, &self.index_demotions);
@@ -848,7 +832,7 @@ impl Store for IndexedStore {
             self.matches.record_cache_hit();
             return None;
         }
-        let cfg = self.cfg_for(p.signature().stable_hash());
+        let cfg = self.cfg;
         let Some(bucket) = self.bucket_for_pattern(p) else {
             self.matches.record(0, 0);
             self.miss_cache.note_miss(p, cfg.miss_cache_cap);
@@ -867,7 +851,7 @@ impl Store for IndexedStore {
             self.matches.record_cache_hit();
             return 0;
         }
-        let cfg = self.cfg_for(p.signature().stable_hash());
+        let cfg = self.cfg;
         let Some(bucket) = self.bucket_for_pattern(p) else {
             self.matches.record(0, 0);
             self.miss_cache.note_miss(p, cfg.miss_cache_cap);
@@ -893,7 +877,7 @@ impl Store for IndexedStore {
             self.matches.record_cache_hit();
             return Vec::new();
         }
-        let cfg = self.cfg_for(p.signature().stable_hash());
+        let cfg = self.cfg;
         let Some(bucket) = self.bucket_for_pattern(p) else {
             self.matches.record(0, 0);
             self.miss_cache.note_miss(p, cfg.miss_cache_cap);
@@ -1924,46 +1908,39 @@ mod tracked_tests {
     }
 
     #[test]
-    fn per_signature_config_override_applies() {
-        // Store-wide default caches misses; the override disables the
-        // cache for one signature only.
-        let mut s = IndexedStore::new();
-        let job_sig = tuple!("job", 0).signature().stable_hash();
-        s.set_config_override(
-            job_sig,
-            StoreConfig {
-                miss_cache_cap: 0,
-                ..StoreConfig::default()
-            },
-        );
+    fn zero_miss_cache_cap_disables_caching() {
+        // The default caches misses; a zero cap turns the cache off.
+        let mut s = IndexedStore::with_config(StoreConfig {
+            miss_cache_cap: 0,
+            ..StoreConfig::default()
+        });
         assert_eq!(s.take(&pat!("job", 1)), None);
         assert_eq!(s.take(&pat!("job", 1)), None);
-        assert_eq!(s.match_stats().cache_hits, 0, "override disabled caching");
+        assert_eq!(s.match_stats().cache_hits, 0, "zero cap disabled caching");
         assert_eq!(s.index_report().miss_cached, 0);
-        // A signature without an override still uses the default cache.
-        assert_eq!(s.take(&pat!("other", 1.0)), None);
-        assert_eq!(s.take(&pat!("other", 1.0)), None);
+        let mut s = IndexedStore::new();
+        assert_eq!(s.take(&pat!("job", 1)), None);
+        assert_eq!(s.take(&pat!("job", 1)), None);
         assert_eq!(s.match_stats().cache_hits, 1);
     }
 
     #[test]
-    fn per_signature_override_gates_promotion() {
-        // The override raises the promotion bar for the hot signature:
-        // scans that would promote under the default never do.
-        let mut s = IndexedStore::new(); // promote_min_tuples = 32
-        let sig = tuple!("t", 0, 0).signature().stable_hash();
-        s.set_config_override(
-            sig,
-            StoreConfig {
-                promote_min_tuples: usize::MAX,
-                ..StoreConfig::default()
-            },
-        );
-        for i in 0..64 {
-            s.insert(tuple!("t", i, i));
-        }
-        s.read(&pat!("t", 63, ?int)); // 64-probe scan, would promote by default
-        assert_eq!(s.index_report().value_indexes, 0);
+    fn promote_min_tuples_gates_promotion() {
+        // A raised promotion bar keeps a scan that would promote under
+        // the default (promote_min_tuples = 32) from building an index.
+        let scan = |mut s: IndexedStore| {
+            for i in 0..64 {
+                s.insert(tuple!("t", i, i));
+            }
+            s.read(&pat!("t", 63, ?int)); // 64-probe scan
+            s.index_report().value_indexes
+        };
+        assert_eq!(scan(IndexedStore::new()), 1);
+        let gated = IndexedStore::with_config(StoreConfig {
+            promote_min_tuples: usize::MAX,
+            ..StoreConfig::default()
+        });
+        assert_eq!(scan(gated), 0);
     }
 
     #[test]

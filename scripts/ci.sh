@@ -15,6 +15,12 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark build + self-tests (perfbench is its own workspace)"
+# perfbench/ builds the program from ../crates by path but is not a
+# member of this workspace, so the step above never compiles it; this
+# catches a change to a public item the benchmark calls.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke (assertions only, no measurement)"
 # batch_window sweeps the group-commit window {off, 100us, 1ms} and
 # writes the multicasts-per-AGS / throughput curve as a JSON artifact.

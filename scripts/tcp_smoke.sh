@@ -3,7 +3,8 @@
 # localhost via the launcher, scrape every member's HTTP surface, run
 # the ftlinda-top aggregator against all three exporters (its merged
 # page must carry shard-labeled families with every member reporting
-# in), then SIGKILL one member and relaunch it with --rejoin as the
+# in, and its last tick must count samples in every member's time-series
+# ring), then SIGKILL one member and relaunch it with --rejoin as the
 # pingpong driver — the cluster must survive the kill, re-admit the new
 # incarnation, and the driver must write the pingpong bench artifact
 # ($BENCH_TCP_PINGPONG_JSON, default ./BENCH_tcp_pingpong.json). The
@@ -91,8 +92,18 @@ done
 
 # 3. Cluster aggregator: ftlinda-top scrapes every member's
 #    /metrics/snapshot over the wire format and renders one merged page.
-#    It must carry the shard-labeled kernel families for both shards and
-#    report every target as scraped (scrape_up 1, nothing unreachable).
+#    It must carry the shard-labeled kernel families for both shards,
+#    report every target as scraped (scrape_up 1, nothing unreachable),
+#    and count every member's /timeseries samples. The members' samplers
+#    tick once a second, so first wait (bounded) for each ring's first
+#    point.
+for ((i = 0; i < HOSTS; i++)); do
+  for _ in $(seq 1 50); do
+    curl -sfS "http://127.0.0.1:$((HTTP_BASE + i))/timeseries" 2>/dev/null \
+      | grep -q '"points":\[{' && break
+    sleep 0.1
+  done
+done
 TARGETS="127.0.0.1:$HTTP_BASE,127.0.0.1:$((HTTP_BASE + 1)),127.0.0.1:$((HTTP_BASE + 2))"
 TOP_PAGE="$LOG_DIR/cluster_top.prom"
 if ! "$TOP" --targets "$TARGETS" --ticks 2 --interval-ms 300 \
@@ -122,6 +133,13 @@ grep -q '"unreachable":\[\]' "$TOP_OUT" || {
 grep -q '"bench":"cluster_top"' "$TOP_OUT" || {
   echo "tcp_smoke.sh: malformed aggregator JSON:"; cat "$TOP_OUT"; exit 1
 }
+LAST_TICK="$(tail -n 1 "$TOP_OUT")"
+for ((i = 0; i < HOSTS; i++)); do
+  echo "$LAST_TICK" | grep -Eq "\"target\":\"127.0.0.1:$((HTTP_BASE + i))\",\"samples\":[1-9]" || {
+    echo "tcp_smoke.sh: aggregator's last tick counts no time-series samples for member $i:"
+    echo "$LAST_TICK"; exit 1
+  }
+done
 echo "cluster_top snapshot: $(tail -n 1 "$TOP_OUT")"
 
 # 4. Federated cross-shard trace: SIGKILL the idle member 2 and bring

@@ -125,10 +125,10 @@ fn scrape(targets: &[SocketAddr]) -> Scrape {
                 child.set(1);
                 reachable.push(*t);
                 fetched.push(s);
-                // /timeseries is optional (404 when the sampler is off);
-                // count its samples rather than storing the whole ring.
+                // Count the ring's samples (one `at_us` stamp each)
+                // rather than storing the whole ring.
                 if let Ok((200, body)) = http_get(*t, "/timeseries", FEDERATION_TIMEOUT) {
-                    let n = body.matches("\"at_millis\"").count() as u64;
+                    let n = body.matches("\"at_us\"").count() as u64;
                     series_counts.push((*t, n));
                 }
             }

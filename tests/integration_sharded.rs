@@ -9,7 +9,7 @@
 //! relies on via `shard_of`, so a change to the shard map fails loudly
 //! instead of silently degrading the test to a single-shard scenario.
 
-use ftlinda::{Ags, Cluster, HostId, MatchField, Operand, StoreConfig, TsId};
+use ftlinda::{Ags, Cluster, HostId, MatchField, Operand, TsId};
 use ftlinda_ags::shard_of;
 use linda_tuple::{pat, tuple, Signature, TypeTag};
 use std::time::Duration;
@@ -394,45 +394,5 @@ fn introspect_json_includes_shard_reports() {
     let flat = r1[0].introspect_json(4).unwrap();
     assert!(!flat.contains("shard_reports"));
     c1.shutdown();
-    cluster.shutdown();
-}
-
-/// `store_config_for` scopes a tuning override to one signature: the
-/// miss cache stays off for that bucket while other buckets keep the
-/// default behaviour — on a sharded cluster, across different shards.
-#[test]
-fn store_override_scopes_to_signature_under_sharding() {
-    let int_sig = Signature::new(vec![TypeTag::Str, TypeTag::Int]);
-    let (cluster, rts) = Cluster::builder()
-        .hosts(2)
-        .shards(2)
-        .store_config_for(
-            &int_sig,
-            StoreConfig {
-                miss_cache_cap: 0,
-                ..StoreConfig::default()
-            },
-        )
-        .build();
-    let ts = rts[0].create_stable_ts("main").unwrap();
-    let s_int = shard_str_int(ts, 2) as usize;
-    let s_str = shard_str_str(ts, 2) as usize;
-    assert_ne!(s_int, s_str);
-
-    // Repeated misses on both signatures.
-    for _ in 0..3 {
-        assert_eq!(rts[0].rdp(ts, &pat!("n", ?int)).unwrap(), None);
-        assert_eq!(rts[0].rdp(ts, &pat!("s", ?str)).unwrap(), None);
-    }
-    let int_report = rts[0].introspect_shard(s_int).unwrap();
-    let str_report = rts[0].introspect_shard(s_str).unwrap();
-    assert_eq!(
-        int_report.spaces[0].index.miss_cached, 0,
-        "override disabled the miss cache for [Str,Int]"
-    );
-    assert!(
-        str_report.spaces[0].index.miss_cached > 0,
-        "default store still caches misses for [Str,Str]"
-    );
     cluster.shutdown();
 }

@@ -1,14 +1,13 @@
 //! End-to-end tests of the tuple-space observatory: `/introspect`,
 //! per-signature metric families, the cluster-scope `/metrics`
-//! aggregate, the starvation watchdog, push-gateway mode and trace
-//! truncation reporting — all over real TCP against a live cluster.
+//! aggregate, the starvation watchdog and trace truncation reporting —
+//! all over real TCP against a live cluster.
 
 use ftlinda::{Ags, Cluster, HostId, MatchField, Operand};
 use linda_tuple::{pat, tuple};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Minimal HTTP/1.1 GET over std TCP; returns `(status, body)`.
@@ -270,6 +269,8 @@ fn starving_guard_fires_watchdog_and_shows_in_blocked_table() {
     // the wasted wakeups that preceded it.
     rts[2].out(ts, tuple!("job", 1)).unwrap();
     handle.wait().unwrap();
+    // The wait returns once host 1 applied the wake-up; host 0 may lag.
+    assert!(rts[0].wait_applied(rts[1].applied_seq(), Duration::from_secs(5)));
     let snap = rts[0].obs().snapshot();
     let retries = snap
         .counter_family("ftlinda_blocked_retries_total")
@@ -280,164 +281,6 @@ fn starving_guard_fires_watchdog_and_shows_in_blocked_table() {
             .any(|(labels, n)| labels.contains("outcome=\"fired\"") && *n >= 1),
         "fired retry counted: {retries:?}"
     );
-    cluster.shutdown();
-}
-
-#[test]
-fn no_introspection_disables_deep_surface_but_keeps_pipeline() {
-    let (cluster, rts) = Cluster::builder().hosts(3).no_introspection().build();
-    let ts = rts[0].create_stable_ts("main").unwrap();
-    rts[0].out(ts, tuple!("x", 1)).unwrap();
-    assert_eq!(rts[1].in_(ts, &pat!("x", ?int)).unwrap(), tuple!("x", 1));
-
-    assert!(rts[0].introspect().is_none());
-    assert!(
-        rts[0].config().starvation_after.is_none(),
-        "watchdog off too"
-    );
-    let addr = cluster.http_addr(rts[0].host()).unwrap();
-    let (code, _) = http_get(addr, "/introspect");
-    assert_eq!(code, 404);
-    // Scalar pipeline metrics survive; deep families don't.
-    let (code, metrics) = http_get(addr, "/metrics");
-    assert_eq!(code, 200);
-    assert!(metrics.contains("ftlinda_applied_seq"));
-    assert!(!metrics.contains("ftlinda_ts_tuples{"), "{metrics}");
-    assert!(
-        !metrics.contains("ftlinda_match_probes_total{"),
-        "{metrics}"
-    );
-    cluster.shutdown();
-}
-
-#[test]
-fn push_gateway_receives_member_pages_and_counts_failures() {
-    // A fake push gateway: accept every POST, record (path, body), 202.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let gw_addr = listener.local_addr().unwrap();
-    let seen: Arc<Mutex<Vec<(String, String)>>> = Arc::new(Mutex::new(Vec::new()));
-    let seen2 = seen.clone();
-    let gw = std::thread::spawn(move || {
-        listener
-            .set_nonblocking(false)
-            .expect("blocking accept loop");
-        for stream in listener.incoming() {
-            let Ok(mut s) = stream else { break };
-            let mut raw = Vec::new();
-            let mut chunk = [0u8; 1024];
-            s.set_read_timeout(Some(Duration::from_millis(500))).ok();
-            loop {
-                match s.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        raw.extend_from_slice(&chunk[..n]);
-                        let text = String::from_utf8_lossy(&raw);
-                        if let Some((head, body)) = text.split_once("\r\n\r\n") {
-                            let len: usize = head
-                                .lines()
-                                .find_map(|l| l.strip_prefix("Content-Length: "))
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or(0);
-                            if body.len() >= len {
-                                break;
-                            }
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            let text = String::from_utf8_lossy(&raw).to_string();
-            let path = text.split_whitespace().nth(1).unwrap_or("").to_string();
-            let body = text
-                .split_once("\r\n\r\n")
-                .map(|(_, b)| b.to_string())
-                .unwrap_or_default();
-            let stop = path.contains("STOP");
-            if !stop {
-                seen2.lock().unwrap().push((path, body));
-            }
-            let _ = s.write_all(b"HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n");
-            if stop {
-                break;
-            }
-        }
-    });
-
-    let url = format!("http://{gw_addr}/metrics/job/ftlinda");
-    let (cluster, rts) = Cluster::builder()
-        .hosts(3)
-        .push_gateway(&url, Duration::from_millis(20))
-        .build();
-    let ts = rts[0].create_stable_ts("main").unwrap();
-    rts[0].out(ts, tuple!("pushed", 1)).unwrap();
-
-    // Wait for at least one full push round: one page per member plus
-    // the cluster registry.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        {
-            let pages = seen.lock().unwrap();
-            let has = |suffix: &str| pages.iter().any(|(p, _)| p.ends_with(suffix));
-            if has("/instance/0") && has("/instance/1") && has("/instance/2") && has("/job/ftlinda")
-            {
-                break;
-            }
-        }
-        assert!(Instant::now() < deadline, "pushes never arrived");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    {
-        let pages = seen.lock().unwrap();
-        let (_, member_page) = pages
-            .iter()
-            .find(|(p, _)| p.ends_with("/instance/0"))
-            .unwrap();
-        assert!(member_page.contains("ftlinda_applied_seq"), "{member_page}");
-        let (_, cluster_page) = pages
-            .iter()
-            .find(|(p, _)| p.ends_with("/job/ftlinda"))
-            .unwrap();
-        assert!(
-            cluster_page.contains("ftlinda_pushes_total"),
-            "{cluster_page}"
-        );
-    }
-    let pushes_before = cluster
-        .obs()
-        .snapshot()
-        .counter("ftlinda_pushes_total")
-        .unwrap_or(0);
-    assert!(
-        pushes_before >= 4,
-        "one full round recorded: {pushes_before}"
-    );
-    assert_eq!(
-        cluster
-            .obs()
-            .snapshot()
-            .counter("ftlinda_push_failures_total")
-            .unwrap_or(0),
-        0
-    );
-
-    // Kill the gateway: pushes start failing, counted not fatal.
-    let _ = http_get(gw_addr, "/STOP");
-    gw.join().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let failures = cluster
-            .obs()
-            .snapshot()
-            .counter("ftlinda_push_failures_total")
-            .unwrap_or(0);
-        if failures > 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "push failures never counted");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    // The cluster itself is unbothered.
-    rts[1].out(ts, tuple!("still", 2)).unwrap();
     cluster.shutdown();
 }
 
@@ -490,6 +333,10 @@ fn restart_keeps_observatory_configuration() {
     let ts = rts[0].create_stable_ts("main").unwrap();
     rts[0].out(ts, tuple!("keep", 7)).unwrap();
     cluster.crash(HostId(2));
+    // Consume the crash's failure tuple first, so the restarted replica's
+    // store holds exactly the one tuple whichever side of its rejoin the
+    // failure was ordered on.
+    rts[0].in_(ts, &pat!("failure", 2)).unwrap();
     let rt2 = cluster.restart(HostId(2));
     assert!(rt2.wait_applied(rts[0].applied_seq(), Duration::from_secs(5)));
     // The fresh incarnation carries the same observability config...
