@@ -279,7 +279,7 @@ impl Runtime {
                                     linda_obs::TraceId::new(host.0, local),
                                     "complete",
                                     host.0,
-                                    vec![("outcome".into(), outcome.into())],
+                                    &[("outcome", &outcome)],
                                 );
                                 let _ = tx.send(payload);
                                 shared.hist_notify.observe(routed_at.elapsed());
@@ -482,13 +482,13 @@ impl Runtime {
         let local = member.broadcast(payload);
         w.insert(local, (tx, t0));
         drop(w);
-        self.shared.spans.push(linda_obs::SpanRecord {
-            trace: linda_obs::TraceId::new(self.host.0, local),
-            stage: "submit".into(),
-            host: self.host.0,
-            at_micros: at0,
-            fields: vec![("kind".into(), kind.into())],
-        });
+        self.shared.spans.record_at(
+            linda_obs::TraceId::new(self.host.0, local),
+            "submit",
+            self.host.0,
+            at0,
+            &[("kind", &kind)],
+        );
         self.shared.hist_submit.observe(t0.elapsed());
         (rx, local)
     }
@@ -573,10 +573,10 @@ impl Runtime {
             self.xspan_origin(
                 xid,
                 "xbegin",
-                vec![
-                    ("attempt".into(), attempt.to_string()),
-                    ("shards".into(), shard_list.clone()),
-                    ("home".into(), home.to_string()),
+                &[
+                    ("attempt", &attempt),
+                    ("shards", &shard_list),
+                    ("home", &home),
                 ],
             );
             // Leg 1: check out every shard's buckets, ascending.
@@ -623,21 +623,14 @@ impl Runtime {
             }
             match result {
                 XStageResult::Fired(o) => {
-                    self.xspan_origin(
-                        xid,
-                        "xcommit",
-                        vec![("attempts".into(), attempt.to_string())],
-                    );
+                    self.xspan_origin(xid, "xcommit", &[("attempts", &attempt)]);
                     return Ok((o, linda_obs::TraceId::for_xid(xid)));
                 }
                 XStageResult::Failed(e) => {
                     self.xspan_origin(
                         xid,
                         "xabort",
-                        vec![
-                            ("cause".into(), "body_failure".into()),
-                            ("attempts".into(), attempt.to_string()),
-                        ],
+                        &[("cause", &"body_failure"), ("attempts", &attempt)],
                     );
                     return Err(FtError::Exec(e));
                 }
@@ -651,10 +644,7 @@ impl Runtime {
                             self.xspan_origin(
                                 xid,
                                 "xabort",
-                                vec![
-                                    ("cause".into(), "blocked_retry".into()),
-                                    ("attempts".into(), attempt.to_string()),
-                                ],
+                                &[("cause", &"blocked_retry"), ("attempts", &attempt)],
                             );
                             return Err(FtError::Timeout);
                         }
@@ -670,16 +660,15 @@ impl Runtime {
     /// commit `xid`. Origin spans carry no `shard` field: the per-shard
     /// lanes of the assembled tree are the participants, and the origin's
     /// xbegin/xcommit/xabort bracket them.
-    fn xspan_origin(&self, xid: u64, stage: &str, fields: Vec<(String, String)>) {
-        let mut fields = fields;
-        fields.push(("xid".into(), xid.to_string()));
-        self.shared.spans.push(linda_obs::SpanRecord {
-            trace: linda_obs::TraceId::for_xid(xid),
-            stage: stage.into(),
-            host: self.host.0,
-            at_micros: linda_obs::now_micros(),
-            fields,
-        });
+    fn xspan_origin(&self, xid: u64, stage: &str, fields: &[(&str, &dyn std::fmt::Display)]) {
+        let mut fields = fields.to_vec();
+        fields.push(("xid", &xid));
+        self.shared.spans.record(
+            linda_obs::TraceId::for_xid(xid),
+            stage,
+            self.host.0,
+            &fields,
+        );
     }
 
     // ----- stable tuple spaces -------------------------------------------

@@ -1486,7 +1486,7 @@ mod tests {
         for _ in 0..3 {
             r.events().emit(Event::new("e", vec![]));
         }
-        r.spans().record(TraceId::new(0, 1), "apply", 0, vec![]);
+        r.spans().record(TraceId::new(0, 1), "apply", 0, &[]);
         let text = r.render();
         assert!(text.contains("# TYPE ftlinda_events_total counter"));
         assert!(text.contains("ftlinda_events_total 3"));

@@ -148,6 +148,22 @@ impl SpanRecord {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
+
+    /// Append this span's `ftlspans` line, without a newline, to `out`.
+    fn write_wire_line(&self, out: &mut String) {
+        let fields = self
+            .fields
+            .iter()
+            .map(|(k, v)| (k.as_str(), v as &dyn fmt::Display));
+        write_span_line(
+            out,
+            self.trace,
+            &self.stage,
+            self.host,
+            self.at_micros,
+            fields,
+        );
+    }
 }
 
 /// Causal rank of a stage name; used only to break timestamp ties when
@@ -175,13 +191,19 @@ fn stage_rank(stage: &str) -> u8 {
     }
 }
 
-/// A bounded ring of recent [`SpanRecord`]s, one per member.
+/// A bounded ring of recent spans, one per member.
 ///
-/// Like [`EventSink`](crate::EventSink) this never blocks the pipeline:
-/// when full, the oldest span is dropped and a counter records the loss.
+/// Each span is kept as its `ftlspans` wire line (see [`spans_wire`]),
+/// so recording one costs a single allocation; [`SpanLog::recent`] and
+/// [`SpanLog::spans_of`] decode lines back into [`SpanRecord`]s at the
+/// HTTP and flight-dump edge. Like [`EventSink`](crate::EventSink) this
+/// never blocks the pipeline: when full, the oldest span is dropped and
+/// a counter records the loss.
 #[derive(Debug)]
 pub struct SpanLog {
-    buf: Mutex<VecDeque<SpanRecord>>,
+    /// `(trace, at_micros, line)`: trace and timestamp are kept beside
+    /// the line so filtering and eviction need no parsing.
+    buf: Mutex<VecDeque<(TraceId, u64, Box<str>)>>,
     cap: usize,
     total: AtomicU64,
     dropped: AtomicU64,
@@ -209,50 +231,89 @@ impl SpanLog {
         }
     }
 
-    /// Record a span, stamping it with the current time.
-    pub fn record(&self, trace: TraceId, stage: &str, host: u32, fields: Vec<(String, String)>) {
-        self.push(SpanRecord {
+    /// Record a span, stamping it with the current time. `fields` are
+    /// ordered key/value detail (e.g. `seq`, `batch`, `queued_us`).
+    pub fn record(
+        &self,
+        trace: TraceId,
+        stage: &str,
+        host: u32,
+        fields: &[(&str, &dyn fmt::Display)],
+    ) {
+        self.record_at(trace, stage, host, now_micros(), fields);
+    }
+
+    /// Record a span that happened at `at_micros` (µs since
+    /// `UNIX_EPOCH`), for a stage timed before its trace id was known.
+    pub fn record_at(
+        &self,
+        trace: TraceId,
+        stage: &str,
+        host: u32,
+        at_micros: u64,
+        fields: &[(&str, &dyn fmt::Display)],
+    ) {
+        // Room for the four numeric columns and a 20-digit value per
+        // field, so the line is written without regrowing; `store`
+        // trims the slack.
+        let guess = 64 + stage.len() + fields.iter().map(|(k, _)| k.len() + 22).sum::<usize>();
+        let mut line = String::with_capacity(guess);
+        write_span_line(
+            &mut line,
             trace,
-            stage: stage.to_string(),
+            stage,
             host,
-            at_micros: now_micros(),
-            fields,
-        });
+            at_micros,
+            fields.iter().copied(),
+        );
+        self.store(trace, at_micros, line);
     }
 
     /// Record a pre-built span (for tests or replay).
     pub fn push(&self, span: SpanRecord) {
+        let mut line = String::new();
+        span.write_wire_line(&mut line);
+        self.store(span.trace, span.at_micros, line);
+    }
+
+    fn store(&self, trace: TraceId, at_micros: u64, line: String) {
+        let line = line.into_boxed_str();
         self.total.fetch_add(1, Ordering::Relaxed);
         let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
         if buf.len() == self.cap {
-            if let Some(evicted) = buf.pop_front() {
+            if let Some((_, evicted_at, _)) = buf.pop_front() {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
-                self.evicted_newest
-                    .fetch_max(evicted.at_micros, Ordering::Relaxed);
+                self.evicted_newest.fetch_max(evicted_at, Ordering::Relaxed);
             }
         }
-        buf.push_back(span);
+        buf.push_back((trace, at_micros, line));
+    }
+
+    /// Copies of the retained lines for which `keep` holds, oldest
+    /// first, decoded outside the lock.
+    fn decoded(&self, keep: impl Fn(TraceId) -> bool) -> Vec<SpanRecord> {
+        let lines: Vec<Box<str>> = self
+            .buf
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .filter(|(trace, _, _)| keep(*trace))
+            .map(|(_, _, line)| line.clone())
+            .collect();
+        lines
+            .iter()
+            .map(|line| parse_span_line(line).expect("a line encoded by this log parses"))
+            .collect()
     }
 
     /// Copy of the retained spans, oldest first.
     pub fn recent(&self) -> Vec<SpanRecord> {
-        self.buf
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
+        self.decoded(|_| true)
     }
 
     /// Retained spans belonging to one trace, oldest first.
     pub fn spans_of(&self, trace: TraceId) -> Vec<SpanRecord> {
-        self.buf
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .filter(|s| s.trace == trace)
-            .cloned()
-            .collect()
+        self.decoded(|t| t == trace)
     }
 
     /// Total spans ever recorded (including dropped ones).
@@ -523,6 +584,11 @@ pub fn span_json(s: &SpanRecord) -> String {
 /// tab → `\t`, newline → `\n`, CR → `\r`.
 pub fn wire_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_wire_escaped(&mut out, s);
+    out
+}
+
+fn push_wire_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -532,7 +598,16 @@ pub fn wire_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+}
+
+/// [`fmt::Write`] adapter that [`wire_escape`]s whatever is written.
+struct WireEscaped<'a>(&'a mut String);
+
+impl fmt::Write for WireEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        push_wire_escaped(self.0, s);
+        Ok(())
+    }
 }
 
 /// Inverse of [`wire_escape`]. Unknown escapes pass the escaped
@@ -556,13 +631,36 @@ pub fn wire_unescape(s: &str) -> String {
     out
 }
 
+/// Append one span's line of the span wire format, without a newline:
+/// `origin <TAB> local <TAB> stage <TAB> host <TAB> at_us
+/// [<TAB> key <TAB> value]…` with every string field [`wire_escape`]d.
+fn write_span_line<'a>(
+    out: &mut String,
+    trace: TraceId,
+    stage: &str,
+    host: u32,
+    at_micros: u64,
+    fields: impl IntoIterator<Item = (&'a str, &'a dyn fmt::Display)>,
+) {
+    use fmt::Write as _;
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{}\t{}\t", trace.origin, trace.local);
+    push_wire_escaped(out, stage);
+    let _ = write!(out, "\t{host}\t{at_micros}");
+    for (k, v) in fields {
+        out.push('\t');
+        push_wire_escaped(out, k);
+        out.push('\t');
+        let _ = write!(WireEscaped(out), "{v}");
+    }
+}
+
 /// Serialize spans plus the owning log's eviction horizon as the
 /// tab-separated span wire format — the payload a member's `/spans/<id>`
 /// endpoint serves so a federated assembler can merge remote spans
 /// without a JSON parser. Line 1 is the header
-/// `ftlspans <version> <horizon µs | ->`; each further line is one span:
-/// `origin <TAB> local <TAB> stage <TAB> host <TAB> at_us
-/// [<TAB> key <TAB> value]…` with every string field [`wire_escape`]d.
+/// `ftlspans <version> <horizon µs | ->`; each further line is one span
+/// (see [`write_span_line`]).
 pub fn spans_wire(spans: &[SpanRecord], horizon: Option<u64>) -> String {
     let mut out = String::with_capacity(32 + spans.len() * 96);
     out.push_str("ftlspans\t1\t");
@@ -572,21 +670,7 @@ pub fn spans_wire(spans: &[SpanRecord], horizon: Option<u64>) -> String {
     }
     out.push('\n');
     for s in spans {
-        out.push_str(&s.trace.origin.to_string());
-        out.push('\t');
-        out.push_str(&s.trace.local.to_string());
-        out.push('\t');
-        out.push_str(&wire_escape(&s.stage));
-        out.push('\t');
-        out.push_str(&s.host.to_string());
-        out.push('\t');
-        out.push_str(&s.at_micros.to_string());
-        for (k, v) in &s.fields {
-            out.push('\t');
-            out.push_str(&wire_escape(k));
-            out.push('\t');
-            out.push_str(&wire_escape(v));
-        }
+        s.write_wire_line(&mut out);
         out.push('\n');
     }
     out
@@ -615,33 +699,35 @@ pub fn parse_spans_wire(text: &str) -> Result<(Vec<SpanRecord>, Option<u64>), St
         if line.is_empty() {
             continue;
         }
-        let parts: Vec<&str> = line.split('\t').collect();
-        if parts.len() < 5 || !(parts.len() - 5).is_multiple_of(2) {
-            return Err(format!("span line {}: wrong field count", ln + 2));
-        }
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, String> {
-            s.parse::<u64>()
-                .map_err(|e| format!("span line {}: bad {what}: {e}", ln + 2))
-        };
-        let origin = u32::try_from(parse_u64(parts[0], "origin")?)
-            .map_err(|_| format!("span line {}: origin overflow", ln + 2))?;
-        let local = parse_u64(parts[1], "local")?;
-        let host = u32::try_from(parse_u64(parts[3], "host")?)
-            .map_err(|_| format!("span line {}: host overflow", ln + 2))?;
-        let at_micros = parse_u64(parts[4], "at_us")?;
-        let fields = parts[5..]
-            .chunks(2)
-            .map(|kv| (wire_unescape(kv[0]), wire_unescape(kv[1])))
-            .collect();
-        spans.push(SpanRecord {
-            trace: TraceId::new(origin, local),
-            stage: wire_unescape(parts[2]),
-            host,
-            at_micros,
-            fields,
-        });
+        spans.push(parse_span_line(line).map_err(|e| format!("span line {}: {e}", ln + 2))?);
     }
     Ok((spans, horizon))
+}
+
+/// Parse one span line of the wire format.
+fn parse_span_line(line: &str) -> Result<SpanRecord, String> {
+    let parts: Vec<&str> = line.split('\t').collect();
+    if parts.len() < 5 || !(parts.len() - 5).is_multiple_of(2) {
+        return Err("wrong field count".into());
+    }
+    let parse_u64 = |s: &str, what: &str| -> Result<u64, String> {
+        s.parse::<u64>().map_err(|e| format!("bad {what}: {e}"))
+    };
+    let origin = u32::try_from(parse_u64(parts[0], "origin")?).map_err(|_| "origin overflow")?;
+    let local = parse_u64(parts[1], "local")?;
+    let host = u32::try_from(parse_u64(parts[3], "host")?).map_err(|_| "host overflow")?;
+    let at_micros = parse_u64(parts[4], "at_us")?;
+    let fields = parts[5..]
+        .chunks(2)
+        .map(|kv| (wire_unescape(kv[0]), wire_unescape(kv[1])))
+        .collect();
+    Ok(SpanRecord {
+        trace: TraceId::new(origin, local),
+        stage: wire_unescape(parts[2]),
+        host,
+        at_micros,
+        fields,
+    })
 }
 
 /// Escape a string for embedding inside a JSON string literal.
@@ -876,6 +962,67 @@ mod tests {
         let (back, horizon) = parse_spans_wire(&text).expect("parse empty");
         assert!(back.is_empty());
         assert_eq!(horizon, None);
+    }
+
+    /// The ring keeps wire lines, yet reads back exactly the records a
+    /// ring of `SpanRecord`s held, and serves the same `/spans/<id>`
+    /// bytes, escapes included.
+    #[test]
+    fn span_ring_reads_back_recorded_spans() {
+        let log = SpanLog::with_capacity(3);
+        let id = TraceId::new(1, 7);
+        let note = "tab\there\nand\\slash";
+        let before = now_micros();
+        log.record(id, "deliver", 0, &[("seq", &12u64), ("note", &note)]);
+        let after = now_micros();
+        log.record_at(id, "submit", 1, 5, &[("kind", &"ags")]);
+        log.record_at(TraceId::new(2, 1), "apply", 2, 6, &[]);
+
+        let recent = log.recent();
+        let at = recent[0].at_micros;
+        assert!(
+            (before..=after).contains(&at),
+            "record stamps the current time"
+        );
+        let deliver = SpanRecord {
+            trace: id,
+            stage: "deliver".into(),
+            host: 0,
+            at_micros: at,
+            fields: vec![("seq".into(), "12".into()), ("note".into(), note.into())],
+        };
+        let submit = SpanRecord {
+            trace: id,
+            stage: "submit".into(),
+            host: 1,
+            at_micros: 5,
+            fields: vec![("kind".into(), "ags".into())],
+        };
+        let other = span(TraceId::new(2, 1), "apply", 2, 6);
+        assert_eq!(recent, vec![deliver.clone(), submit.clone(), other]);
+        assert_eq!(log.spans_of(id), vec![deliver.clone(), submit.clone()]);
+
+        let body = spans_wire(&log.spans_of(id), log.evicted_newest_micros());
+        assert_eq!(body, spans_wire(&[deliver, submit], None));
+        assert_eq!(
+            body,
+            format!(
+                "ftlspans\t1\t-\n\
+                 1\t7\tdeliver\t0\t{at}\tseq\t12\tnote\ttab\\there\\nand\\\\slash\n\
+                 1\t7\tsubmit\t1\t5\tkind\tags\n"
+            )
+        );
+
+        // A fourth span evicts the oldest, and the horizon moves to it.
+        log.record_at(id, "apply", 0, 9, &[]);
+        assert_eq!(log.total(), 4);
+        assert_eq!(log.dropped(), 1);
+        assert_eq!(log.evicted_newest_micros(), Some(at));
+        let body = spans_wire(&log.spans_of(id), log.evicted_newest_micros());
+        assert_eq!(
+            body,
+            format!("ftlspans\t1\t{at}\n1\t7\tsubmit\t1\t5\tkind\tags\n1\t7\tapply\t0\t9\n")
+        );
     }
 
     #[test]
