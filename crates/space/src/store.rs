@@ -650,6 +650,19 @@ impl IndexedStore {
         self.buckets.get(&p.signature().stable_hash())
     }
 
+    /// Every stored tuple in insertion order, borrowed: the order of
+    /// [`Store::snapshot`] without cloning, for walks (such as
+    /// replica digests) that only read.
+    pub fn tuples_in_order(&self) -> Vec<&Tuple> {
+        let mut all: Vec<(u64, &Tuple)> = self
+            .buckets
+            .values()
+            .flat_map(|b| b.entries.iter().map(|(s, t)| (*s, t)))
+            .collect();
+        all.sort_unstable_by_key(|(s, _)| *s);
+        all.into_iter().map(|(_, t)| t).collect()
+    }
+
     /// Shared insert path: miss-cache invalidation, bucket insert, and
     /// len/census bookkeeping. Every way a tuple can (re)enter the store
     /// — `insert`, `insert_tracked`, and the `restore_at` undo — funnels
@@ -906,13 +919,7 @@ impl Store for IndexedStore {
     }
 
     fn snapshot(&self) -> Vec<Tuple> {
-        let mut all: Vec<(u64, Tuple)> = self
-            .buckets
-            .values()
-            .flat_map(|b| b.entries.iter().map(|(s, t)| (*s, t.clone())))
-            .collect();
-        all.sort_by_key(|(s, _)| *s);
-        all.into_iter().map(|(_, t)| t).collect()
+        self.tuples_in_order().into_iter().cloned().collect()
     }
 
     fn match_stats(&self) -> MatchStats {

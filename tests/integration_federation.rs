@@ -10,9 +10,17 @@ use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command, Stdio};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const NODE: &str = env!("CARGO_BIN_EXE_ftlinda-node");
+
+/// Held for a whole test: one 3-process cluster at a time. The
+/// killed-member test must read a survivor's tree before the survivors'
+/// links to the victim notice the kill (their next 100 ms heartbeat);
+/// on a 2-vCPU machine a second cluster booting alongside can delay that
+/// first read past it.
+static ONE_CLUSTER: Mutex<()> = Mutex::new(());
 
 fn free_addrs(n: usize) -> Vec<SocketAddr> {
     (0..n)
@@ -162,6 +170,7 @@ fn await_tree(addr: SocketAddr, id: &str, secs: u64, good: impl Fn(&str) -> bool
 /// xexec at the home shard) with spans attributed to all three hosts.
 #[test]
 fn cross_shard_trace_is_whole_from_every_member() {
+    let _one = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
     let addrs = free_addrs(3);
     let peers = peers_arg(&addrs);
     let base = free_http_base(3);
@@ -213,6 +222,7 @@ fn cross_shard_trace_is_whole_from_every_member() {
 /// legitimately skipped, which is the other branch.
 #[test]
 fn killed_member_mid_trace_marks_truncated_hosts() {
+    let _one = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
     let addrs = free_addrs(3);
     let peers = peers_arg(&addrs);
     let base = free_http_base(3);
