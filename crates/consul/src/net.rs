@@ -52,6 +52,10 @@ pub enum NetEvent<M> {
     CrashNotice(HostId),
     /// The failure detector reports `host` (re)joined the network.
     JoinNotice(HostId),
+    /// A local wake-up for the receiving host's protocol thread, pushed
+    /// by another thread of the same process. It never crosses a link:
+    /// it is not encoded and not counted in [`NetStats`].
+    Wake,
 }
 
 /// Network configuration.
@@ -268,15 +272,9 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
                         let now = Instant::now();
                         if due <= now {
                             let item = st.queue.pop().expect("peeked");
-                            // Drop traffic to crashed hosts; control
-                            // notices are delivered regardless (they come
-                            // from the detector, not the host).
-                            let to_crashed = st.crashed.get(&item.to).copied().unwrap_or(false);
-                            let deliver = match &item.event {
-                                NetEvent::Msg { .. } => !to_crashed,
-                                _ => !to_crashed,
-                            };
-                            if deliver {
+                            // Drop everything scheduled for a crashed
+                            // host, detector notices included.
+                            if !st.crashed.get(&item.to).copied().unwrap_or(false) {
                                 if let Some(tx) = st.inboxes.get(&item.to) {
                                     // Receiver may be gone after restart;
                                     // dropping is correct (host is dead).
@@ -478,6 +476,15 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
             );
         }
         rx
+    }
+
+    /// Push a [`NetEvent::Wake`] straight into `host`'s inbox, bypassing
+    /// the wire, the accounting and the crash flag (a crashed host's
+    /// protocol thread still has to notice that it is being stopped).
+    pub(crate) fn wake(&self, host: HostId) {
+        if let Some(tx) = self.inner.state.lock().inboxes.get(&host) {
+            let _ = tx.send(NetEvent::Wake);
+        }
     }
 
     /// Whether `host` is currently crashed.

@@ -48,7 +48,8 @@ use crate::stats::OrderStats;
 use crate::tcp::TcpLane;
 use crate::transport::SeqNet;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use crossbeam::channel::RecvTimeoutError;
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -137,66 +138,6 @@ impl CheckpointConfig {
     /// Whether the coordinator emits markers at all.
     pub fn enabled(&self) -> bool {
         self.every > 0
-    }
-}
-
-/// Deadline timer shared between a member's protocol state (which arms
-/// it while holding the state lock) and its flusher thread (which waits
-/// on it and then takes the state lock). Lock order is strictly
-/// state → timer; the flusher always releases the timer lock before
-/// touching state, so the two locks are never held in opposite orders.
-struct FlushTimer {
-    inner: Mutex<TimerInner>,
-    cv: Condvar,
-}
-
-struct TimerInner {
-    deadline: Option<Instant>,
-    closed: bool,
-}
-
-impl FlushTimer {
-    fn new() -> Self {
-        FlushTimer {
-            inner: Mutex::new(TimerInner {
-                deadline: None,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Arm (or move) the deadline. Called with the state lock held.
-    fn arm(&self, deadline: Instant) {
-        self.inner.lock().deadline = Some(deadline);
-        self.cv.notify_one();
-    }
-
-    /// Permanently shut the timer down; the flusher thread exits.
-    fn close(&self) {
-        self.inner.lock().closed = true;
-        self.cv.notify_one();
-    }
-
-    /// Block until an armed deadline passes (consuming it) or the timer
-    /// is closed. Returns `false` on close.
-    fn wait_due(&self) -> bool {
-        let mut g = self.inner.lock();
-        loop {
-            if g.closed {
-                return false;
-            }
-            match g.deadline {
-                None => self.cv.wait(&mut g),
-                Some(d) => {
-                    if Instant::now() >= d {
-                        g.deadline = None;
-                        return true;
-                    }
-                    let _ = self.cv.wait_until(&mut g, d);
-                }
-            }
-        }
     }
 }
 
@@ -411,19 +352,18 @@ struct State {
 
     // Group commit (coordinator only). Entries in `batch` already hold
     // assigned sequence numbers `batch_first .. batch_first + len`; they
-    // are multicast (and only then logged) when the batch flushes.
+    // are multicast (and only then logged) when the batch flushes, at
+    // the latest at `last_flush + window`.
     batch_cfg: BatchConfig,
     batch: Vec<BatchEntry>,
     /// Enqueue instants parallel to `batch` (kept out of [`BatchEntry`],
-    /// which is a wire struct) for per-entry queueing-delay spans.
+    /// which is a wire struct) for per-entry queueing-delay spans; the
+    /// first is when the batch opened.
     batch_enqueued: Vec<Instant>,
     /// Payload bytes coalesced in the open batch (size-based trigger).
     batch_bytes: usize,
     batch_first: u64,
-    batch_opened_at: Instant,
-    batch_deadline: Option<Instant>,
     last_flush: Instant,
-    flush_timer: Arc<FlushTimer>,
     batch_size_hist: Arc<linda_obs::Histogram>,
     batch_flush_hist: Arc<linda_obs::Histogram>,
 
@@ -437,12 +377,17 @@ struct State {
     /// Per-peer wire round-trip latency (`ftlinda_net_rtt_seconds`),
     /// fed by the heartbeat echo path.
     rtt_hist: Arc<linda_obs::HistogramFamily>,
-    // Tick-driven rejoin (heartbeat mode only): while `!joined`, the
-    // member multicasts JoinReq on this backoff schedule. This is how an
-    // evicted (falsely-suspected) member re-enters, and how a TCP node
-    // started with `initially_joined = false` joins a running cluster.
-    next_join_at: std::time::Instant,
-    join_backoff: Duration,
+    // While `!joined` the member multicasts JoinReq rounds on the
+    // schedule of `join_round`. This is how a restarted Sim member, a
+    // TCP node started with `initially_joined = false` and an evicted
+    // (falsely-suspected) member all re-enter.
+    next_join_at: Instant,
+    /// JoinReq rounds sent since the member last left the group.
+    join_rounds: u32,
+    /// Set once `join_rounds` reaches [`SeqGroup::MAX_JOIN_ATTEMPTS`]
+    /// unanswered; cleared by a successful join.
+    rejoin_error: Option<String>,
+    rejoin_attempts: Arc<linda_obs::Counter>,
 
     // While a coordinator-elect is parked waiting for SyncReplies, the
     // SyncQuery is re-sent on this schedule. On a lossy transport (a TCP
@@ -539,6 +484,7 @@ impl State {
                     self.live.insert(h);
                 }
             }
+            NetEvent::Wake => {}
         }
     }
 
@@ -714,6 +660,7 @@ impl State {
                     self.live.insert(self.me);
                     self.coord = from;
                     self.joined = true;
+                    self.rejoin_error = None;
                 }
                 self.adopt_snapshot(checkpoint, retired, failed);
                 for rec in tail {
@@ -771,7 +718,6 @@ impl State {
         self.batch.clear();
         self.batch_enqueued.clear();
         self.batch_bytes = 0;
-        self.batch_deadline = None;
         self.buffered_submits.clear();
         self.buffered_nacks.clear();
         self.pending_joins.clear();
@@ -780,17 +726,12 @@ impl State {
         self.coord_synced = false;
         self.joined = false;
         self.coord = from;
-        self.next_join_at = std::time::Instant::now();
-        self.join_backoff = Self::JOIN_BACKOFF_MIN;
+        self.next_join_at = Instant::now();
+        self.join_rounds = 0;
         let _ = self.dtx.send(Delivery::Evicted {
             seq: self.last_seq(),
         });
     }
-
-    /// First backoff step of the tick-driven JoinReq loop.
-    const JOIN_BACKOFF_MIN: Duration = Duration::from_millis(5);
-    /// Backoff cap of the tick-driven JoinReq loop.
-    const JOIN_BACKOFF_MAX: Duration = Duration::from_millis(500);
 
     /// Re-send interval for SyncQuery while replies are outstanding
     /// (covers queries or replies lost to a reconnecting TCP link).
@@ -944,34 +885,46 @@ impl State {
         let _ = self.dtx.send(delivery);
     }
 
-    /// Heartbeat mode: send periodic pings and declare silent peers
-    /// crashed; while unjoined, retry JoinReq on a capped backoff
-    /// instead. Called from the member thread on every loop iteration.
-    fn heartbeat_tick(&mut self) {
-        let Some(hb) = self.hb else { return };
-        let now = std::time::Instant::now();
-        if !self.joined {
-            if now >= self.next_join_at {
-                self.next_join_at = now + self.join_backoff;
-                self.join_backoff = (self.join_backoff * 2).min(Self::JOIN_BACKOFF_MAX);
-                self.stats.record_retransmit();
-                let me = self.me;
-                let incarnation = self.incarnation;
-                let peers: Vec<HostId> =
-                    self.universe.iter().copied().filter(|p| *p != me).collect();
-                self.net
-                    .multicast(me, &peers, SeqMsg::JoinReq { incarnation });
-            }
-            return;
+    /// The earliest instant a timer of [`State::on_timers`] falls due:
+    /// the group-commit deadline while a batch is open, the JoinReq
+    /// retry while unjoined, the SyncQuery retry while an election waits
+    /// on replies, and in heartbeat mode the next tick after `now`.
+    /// `None` when no timer is pending.
+    fn next_due(&self, now: Instant) -> Option<Instant> {
+        let tick = self
+            .hb
+            .map(|hb| now + (hb.period / 2).max(Duration::from_millis(1)));
+        let join = (!self.joined).then_some(self.next_join_at);
+        let sync = self.sync_pending().then_some(self.next_sync_retry);
+        [tick, self.batch_deadline(), join, sync]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    fn batch_deadline(&self) -> Option<Instant> {
+        (!self.batch.is_empty()).then(|| self.last_flush + self.batch_cfg.window)
+    }
+
+    fn sync_pending(&self) -> bool {
+        self.is_coord() && !self.coord_synced && !self.sync_waiting.is_empty()
+    }
+
+    /// Run every timer that is due at `now`. Called by the member
+    /// thread after each inbox event and whenever [`State::next_due`]
+    /// passes.
+    fn on_timers(&mut self, now: Instant) {
+        if self.batch_deadline().is_some_and(|d| now >= d) {
+            self.flush_batch();
+            self.maybe_mark_checkpoint();
+        }
+        if !self.joined && now >= self.next_join_at {
+            self.join_round(now);
         }
         // A coordinator-elect parked on lost sync traffic re-asks: the
         // SyncQuery (or its reply) may have been dropped by a TCP link
         // that was still mid-reconnect when the election fired.
-        if self.is_coord()
-            && !self.coord_synced
-            && !self.sync_waiting.is_empty()
-            && now >= self.next_sync_retry
-        {
+        if self.sync_pending() && now >= self.next_sync_retry {
             self.next_sync_retry = now + Self::SYNC_RETRY;
             let have = self.last_seq();
             let me = self.me;
@@ -981,6 +934,11 @@ impl State {
                 self.net.send(me, p, SeqMsg::SyncQuery { have });
             }
         }
+        // Heartbeat mode, joined members only: send periodic pings and
+        // declare silent peers crashed.
+        let Some(hb) = self.hb.filter(|_| self.joined) else {
+            return;
+        };
         if now.duration_since(self.last_ping) >= hb.period {
             self.last_ping = now;
             let me = self.me;
@@ -1019,6 +977,35 @@ impl State {
         for h in silent {
             self.on_crash(h);
         }
+    }
+
+    /// Multicast one JoinReq round. Rounds go out 5 ms apart, doubling
+    /// to a 160 ms cap. After [`SeqGroup::MAX_JOIN_ATTEMPTS`] unanswered
+    /// rounds the member reports `rejoin_error` and a `rejoin_failed`
+    /// event once, then keeps retrying at the cap, so a group that
+    /// comes back later still re-admits it.
+    fn join_round(&mut self, now: Instant) {
+        let me = self.me;
+        if self.join_rounds == SeqGroup::MAX_JOIN_ATTEMPTS {
+            let attempts = SeqGroup::MAX_JOIN_ATTEMPTS.to_string();
+            self.rejoin_error = Some(format!(
+                "{me} failed to rejoin after {attempts} JoinReq attempts (no coordinator answered)"
+            ));
+            self.events.emit(linda_obs::Event::new(
+                "rejoin_failed",
+                vec![
+                    ("host".into(), me.to_string()),
+                    ("attempts".into(), attempts),
+                ],
+            ));
+        }
+        self.next_join_at = now + Duration::from_millis(5 << self.join_rounds.min(5));
+        self.join_rounds = self.join_rounds.saturating_add(1);
+        self.rejoin_attempts.inc();
+        let incarnation = self.incarnation;
+        let peers: Vec<HostId> = self.universe.iter().copied().filter(|p| *p != me).collect();
+        self.net
+            .multicast(me, &peers, SeqMsg::JoinReq { incarnation });
     }
 
     /// Re-send every unacked broadcast to `to`, the (elected)
@@ -1373,31 +1360,16 @@ impl State {
             // A multicast left within the last window — open a batch and
             // let further concurrent submits pile in until the deadline.
             self.batch_first = seq;
-            self.batch_opened_at = now;
-            self.batch_bytes = payload.len();
-            let deadline = self.last_flush + self.batch_cfg.window;
-            self.batch_deadline = Some(deadline);
-            self.batch.push(BatchEntry {
-                origin,
-                local,
-                payload,
-            });
-            self.batch_enqueued.push(now);
-            self.flush_timer.arm(deadline);
-            if self.batch_full() {
-                self.flush_batch();
-            }
-        } else {
-            self.batch_bytes += payload.len();
-            self.batch.push(BatchEntry {
-                origin,
-                local,
-                payload,
-            });
-            self.batch_enqueued.push(now);
-            if self.batch_full() {
-                self.flush_batch();
-            }
+        }
+        self.batch_bytes += payload.len();
+        self.batch.push(BatchEntry {
+            origin,
+            local,
+            payload,
+        });
+        self.batch_enqueued.push(now);
+        if self.batch_full() {
+            self.flush_batch();
         }
     }
 
@@ -1434,11 +1406,11 @@ impl State {
         let entries = std::mem::take(&mut self.batch);
         let enqueued = std::mem::take(&mut self.batch_enqueued);
         self.batch_bytes = 0;
-        self.batch_deadline = None;
         let now = Instant::now();
         self.last_flush = now;
-        self.batch_flush_hist
-            .observe(now.duration_since(self.batch_opened_at));
+        if let Some(opened) = enqueued.first() {
+            self.batch_flush_hist.observe(now.duration_since(*opened));
+        }
         self.batch_size_hist.observe_seconds(entries.len() as f64);
         for (i, e) in entries.iter().enumerate() {
             let queued = enqueued
@@ -1469,18 +1441,6 @@ impl State {
                 local: 0,
                 body: RecordBody::Batch(entries),
             });
-        }
-    }
-
-    /// Flusher-thread entry: flush only if the state's own deadline has
-    /// actually passed (the timer may have fired for a batch that was
-    /// already flushed by the `max_entries` trigger).
-    fn flush_batch_due(&mut self) {
-        if let Some(d) = self.batch_deadline {
-            if Instant::now() >= d {
-                self.flush_batch();
-                self.maybe_mark_checkpoint();
-            }
         }
     }
 
@@ -1598,8 +1558,6 @@ pub struct SeqMember {
     stats: Arc<OrderStats>,
     stop: Arc<AtomicBool>,
     obs: Arc<linda_obs::Registry>,
-    join_error: Arc<Mutex<Option<String>>>,
-    flush_timer: Arc<FlushTimer>,
 }
 
 /// Factory/controller for a sequencer group over a simulated network,
@@ -1761,7 +1719,10 @@ impl SeqGroup {
         } else {
             0
         });
-        let flush_timer = Arc::new(FlushTimer::new());
+        let rejoin_attempts = obs.counter(
+            "ftlinda_rejoin_attempts_total",
+            "JoinReq rounds sent while outside the group",
+        );
         let hb = net.heartbeats();
         let now = Instant::now();
         let state = Arc::new(Mutex::new(State {
@@ -1808,11 +1769,8 @@ impl SeqGroup {
             batch_enqueued: Vec::new(),
             batch_bytes: 0,
             batch_first: 0,
-            batch_opened_at: now,
-            batch_deadline: None,
             // Start "long idle" so the very first submit flushes solo.
             last_flush: now.checked_sub(batch.window).unwrap_or(now),
-            flush_timer: flush_timer.clone(),
             batch_size_hist,
             batch_flush_hist,
             hb,
@@ -1823,8 +1781,10 @@ impl SeqGroup {
             last_ping: std::time::Instant::now(),
             ping_rx: HashMap::new(),
             rtt_hist,
-            next_join_at: std::time::Instant::now(),
-            join_backoff: State::JOIN_BACKOFF_MIN,
+            next_join_at: now,
+            join_rounds: 0,
+            rejoin_error: None,
+            rejoin_attempts,
             next_sync_retry: std::time::Instant::now(),
             incarnation: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
@@ -1836,55 +1796,39 @@ impl SeqGroup {
         let stop = Arc::new(AtomicBool::new(false));
         let member = SeqMember {
             me,
-            net: net.clone(),
+            net,
             state: state.clone(),
             deliveries: drx,
             stats,
             stop: stop.clone(),
             obs,
-            join_error: Arc::new(Mutex::new(None)),
-            flush_timer: flush_timer.clone(),
         };
-        if batch.enabled() {
-            // Dedicated flusher: the member thread can sit in a long
-            // `recv_timeout`, and the coordinator path may run on a
-            // client thread, so neither can meet a sub-millisecond batch
-            // deadline. The flusher sleeps on the timer (timer lock
-            // only) and takes the state lock only after releasing it.
-            let flusher_state = state.clone();
-            let flusher_timer = flush_timer.clone();
-            std::thread::Builder::new()
-                .name(format!("flush-{me}"))
-                .spawn(move || {
-                    while flusher_timer.wait_due() {
-                        flusher_state.lock().flush_batch_due();
-                    }
-                })
-                .expect("spawn flusher");
-        }
-        let tick = hb
-            .map(|hb| (hb.period / 2).max(Duration::from_millis(1)))
-            .unwrap_or(Duration::from_millis(50));
+        // The member's only protocol thread: it sleeps on the inbox until
+        // the next timer falls due. Another thread that moves a timer
+        // earlier (a client-thread submit that opens a batch) or stops
+        // the member pushes a `NetEvent::Wake` into the inbox.
         std::thread::Builder::new()
             .name(format!("seq-{me}"))
             .spawn(move || {
+                let mut due = state.lock().next_due(Instant::now());
                 loop {
+                    let ev = match due {
+                        Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+                        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                    };
                     if stop.load(AtomicOrdering::Relaxed) {
                         break;
                     }
-                    match rx.recv_timeout(tick) {
-                        Ok(ev) => {
-                            let mut st = state.lock();
-                            st.on_event(ev);
-                            st.heartbeat_tick();
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            state.lock().heartbeat_tick();
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                    let mut st = state.lock();
+                    match ev {
+                        Ok(ev) => st.on_event(ev),
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => break,
                     }
+                    let now = Instant::now();
+                    st.on_timers(now);
+                    due = st.next_due(now);
                 }
-                flush_timer.close();
             })
             .expect("spawn member");
         member
@@ -1899,18 +1843,20 @@ impl SeqGroup {
     /// group and replays the ordered log (all deliveries are re-emitted
     /// to its application from sequence 1).
     ///
-    /// Rejoining retries `JoinReq` with capped exponential backoff
-    /// (5 ms doubling to 160 ms) and gives up after
-    /// [`SeqGroup::MAX_JOIN_ATTEMPTS`] attempts — e.g. when every other
-    /// member is down, so no coordinator can ever answer. A give-up is
-    /// surfaced through [`SeqMember::rejoin_error`] and as a
-    /// `rejoin_failed` event in the member's observability registry.
+    /// The fresh member multicasts `JoinReq` rounds from its protocol
+    /// thread, 5 ms apart doubling to 160 ms, until a coordinator
+    /// answers — the same schedule an evicted member or a TCP member
+    /// started outside the group uses. After
+    /// [`SeqGroup::MAX_JOIN_ATTEMPTS`] unanswered rounds (e.g. every other
+    /// member is down) it reports the failure through
+    /// [`SeqMember::rejoin_error`] and a `rejoin_failed` event in its
+    /// observability registry, and keeps retrying at the cap.
     pub fn restart(&self, host: HostId) -> SeqMember {
         let rx = self
             .net
             .restart(host)
             .expect("restart(): in-process restart is a Sim-transport facility; a TCP member rejoins by relaunching its process");
-        let member = Self::spawn_member(
+        Self::spawn_member(
             host,
             self.net.clone(),
             &self.universe,
@@ -1920,66 +1866,11 @@ impl SeqGroup {
             self.batch,
             self.ckpt,
             self.local_base,
-        );
-        let state = member.state.clone();
-        let net = member.net.clone();
-        let stop = member.stop.clone();
-        let me = member.me;
-        let join_error = member.join_error.clone();
-        let obs = member.obs.clone();
-        let attempts_total = obs.counter(
-            "ftlinda_rejoin_attempts_total",
-            "JoinReq rounds sent by a restarted member",
-        );
-        std::thread::Builder::new()
-            .name(format!("join-{me}"))
-            .spawn(move || {
-                let mut backoff = Duration::from_millis(5);
-                let cap = Duration::from_millis(160);
-                let incarnation = state.lock().incarnation;
-                for _ in 0..Self::MAX_JOIN_ATTEMPTS {
-                    {
-                        let st = state.lock();
-                        if st.joined || stop.load(AtomicOrdering::Relaxed) {
-                            return;
-                        }
-                    }
-                    attempts_total.inc();
-                    let peers: Vec<HostId> = state
-                        .lock()
-                        .universe
-                        .iter()
-                        .copied()
-                        .filter(|h| *h != me)
-                        .collect();
-                    for p in peers {
-                        net.send(me, p, SeqMsg::JoinReq { incarnation });
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(cap);
-                }
-                if state.lock().joined || stop.load(AtomicOrdering::Relaxed) {
-                    return;
-                }
-                let msg = format!(
-                    "{me} failed to rejoin after {} JoinReq attempts (no coordinator answered)",
-                    Self::MAX_JOIN_ATTEMPTS
-                );
-                *join_error.lock() = Some(msg);
-                obs.events().emit(linda_obs::Event::new(
-                    "rejoin_failed",
-                    vec![
-                        ("host".into(), me.to_string()),
-                        ("attempts".into(), Self::MAX_JOIN_ATTEMPTS.to_string()),
-                    ],
-                ));
-            })
-            .expect("spawn join retry");
-        member
+        )
     }
 
-    /// JoinReq rounds a restarted member sends before declaring the
-    /// rejoin failed (~2 s wall clock with the capped backoff).
+    /// Unanswered JoinReq rounds after which an unjoined member reports
+    /// a rejoin error (~2 s wall clock on the capped schedule).
     pub const MAX_JOIN_ATTEMPTS: u32 = 16;
 
     /// The simulated network (for stats and direct fault injection).
@@ -2036,7 +1927,15 @@ impl SeqMember {
         st.ba_inserts += 1;
         if st.is_coord() {
             let me = st.me;
+            let was_open = !st.batch.is_empty();
             st.coord_submit(me, local, payload);
+            let opened = !was_open && !st.batch.is_empty();
+            drop(st);
+            if opened {
+                // The batch deadline is now the member thread's earliest
+                // timer, and that thread may be asleep until a later one.
+                self.net.wake(me);
+            }
         } else {
             let (me, coord) = (st.me, st.coord);
             drop(st);
@@ -2053,7 +1952,7 @@ impl SeqMember {
     /// Stop this member's protocol thread (teardown).
     pub fn stop(&self) {
         self.stop.store(true, AtomicOrdering::Relaxed);
-        self.flush_timer.close();
+        self.net.wake(self.me);
     }
 
     /// Number of records this member has delivered (or skipped past via a
@@ -2113,11 +2012,13 @@ impl SeqMember {
         self.obs.clone()
     }
 
-    /// If this member was created by [`SeqGroup::restart`] and its rejoin
-    /// retries were exhausted without a coordinator answering, the error
-    /// description. `None` while retrying or after a successful rejoin.
+    /// The error description once this member, while outside the group
+    /// (restarted, started to join a running cluster, or evicted), has
+    /// sent [`SeqGroup::MAX_JOIN_ATTEMPTS`] JoinReq rounds that no
+    /// coordinator answered. It keeps retrying meanwhile; `None` before
+    /// that point and again after a successful join.
     pub fn rejoin_error(&self) -> Option<String> {
-        self.join_error.lock().clone()
+        self.state.lock().rejoin_error.clone()
     }
 }
 
@@ -2534,6 +2435,47 @@ mod tests {
         for (i, d) in ds.iter().enumerate() {
             assert_eq!(d.seq(), (i + 1) as u64);
         }
+        g.shutdown();
+    }
+
+    /// A batch opened by a broadcast on the coordinator's own host — on
+    /// the client thread, not the member thread — flushes at its
+    /// deadline with no other traffic, although the member thread's
+    /// next heartbeat tick is seconds away.
+    #[test]
+    fn coordinator_host_batch_flushes_on_deadline() {
+        let cfg = NetConfig {
+            heartbeats: Some(crate::net::Heartbeat {
+                period: Duration::from_secs(20),
+                timeout: Duration::from_secs(60),
+            }),
+            ..NetConfig::instant()
+        };
+        let batch = BatchConfig {
+            window: Duration::from_millis(500),
+            max_entries: 1024,
+            ..BatchConfig::default()
+        };
+        let (g, ms) = SeqGroup::new_with(2, cfg, batch, CheckpointConfig::disabled());
+        // Host 0's member thread flushes `w` solo and delivers it under
+        // the state lock, which it holds until it has chosen its next
+        // wake-up: the heartbeat tick, 10 s away.
+        ms[1].broadcast(Bytes::from_static(b"w"));
+        assert_eq!(collect_n(&ms[0], 1, Duration::from_secs(5)).len(), 1);
+        // Within the window of that flush: opens a batch.
+        let local = ms[0].broadcast(Bytes::from_static(b"b"));
+        let ds = collect_n(&ms[0], 1, Duration::from_secs(5));
+        assert_eq!(ds.len(), 1, "the open batch must flush at its deadline");
+        assert!(matches!(&ds[0], Delivery::App { payload, .. } if &payload[..] == b"b"));
+        let spans = ms[0]
+            .obs()
+            .spans()
+            .spans_of(linda_obs::TraceId::new(0, local));
+        let flush = spans
+            .iter()
+            .find(|s| s.stage == "flush")
+            .expect("flush span");
+        assert_ne!(flush.field("queued_us"), Some("0"), "b waited in a batch");
         g.shutdown();
     }
 

@@ -20,7 +20,8 @@
 //!
 //! Failure detection is the sequencer's heartbeat mode ([`Heartbeat`]):
 //! the mesh never synthesizes `CrashNotice`/`JoinNotice` events, it only
-//! delivers `NetEvent::Msg`.
+//! delivers `NetEvent::Msg` (plus the local `NetEvent::Wake` a lane's own
+//! member pushes to itself).
 
 use crate::net::{Heartbeat, HostId, NetEvent};
 use crate::sequencer::SeqMsg;
@@ -421,6 +422,14 @@ impl TcpLane {
             } else {
                 self.inner.send_frame(*h, frame.clone());
             }
+        }
+    }
+
+    /// Push a [`NetEvent::Wake`] into this lane's own inbox (never
+    /// framed, never counted).
+    pub(crate) fn wake(&self) {
+        if let Some(tx) = self.inner.lanes_tx.get(self.lane as usize) {
+            let _ = tx.send(NetEvent::Wake);
         }
     }
 

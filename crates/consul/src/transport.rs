@@ -38,6 +38,15 @@ impl SeqNet {
         }
     }
 
+    /// Wake `host`'s protocol thread through its own inbox; `host` must
+    /// be a member of this process. Local only: never sent or counted.
+    pub(crate) fn wake(&self, host: HostId) {
+        match self {
+            SeqNet::Sim(net) => net.wake(host),
+            SeqNet::Tcp(lane) => lane.wake(),
+        }
+    }
+
     /// Heartbeat parameters, when heartbeat failure detection is active.
     /// Always `Some` on TCP (there is no oracle across processes).
     pub fn heartbeats(&self) -> Option<Heartbeat> {

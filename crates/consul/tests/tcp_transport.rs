@@ -4,7 +4,9 @@
 //! drives a live [`TcpMesh`] over loopback — nothing is mocked.
 
 use bytes::Bytes;
-use consul_sim::{HostId, NetEvent, SeqMsg, TcpConfig, TcpMesh};
+use consul_sim::{
+    BatchConfig, CheckpointConfig, HostId, NetEvent, SeqGroup, SeqMsg, TcpConfig, TcpMesh,
+};
 use linda_obs::Registry;
 use proptest::prelude::*;
 use std::io::Write;
@@ -225,4 +227,67 @@ fn two_meshes_converse_and_count_bytes() {
     assert!(recv > 0, "receiver must count link bytes");
     m0.shutdown();
     m1.shutdown();
+}
+
+/// A member started outside the group that reaches no peer reports
+/// `rejoin_error` after `MAX_JOIN_ATTEMPTS` unanswered JoinReq rounds,
+/// keeps retrying, and is admitted — error cleared — once a coordinator
+/// comes up.
+#[test]
+fn unreachable_tcp_member_reports_rejoin_error_and_keeps_retrying() {
+    let addrs = free_addrs(3); // nobody listens on the peers' ports yet
+    let obs = Registry::default();
+    let (mesh, mut rxs) = TcpMesh::start(TcpConfig::new(HostId(2), &addrs, 1), &obs).unwrap();
+    let (_group, member) = SeqGroup::tcp_member(
+        mesh.lane(0),
+        mesh.universe(),
+        mesh.me(),
+        rxs.remove(0),
+        BatchConfig::default(),
+        CheckpointConfig::default(),
+        0,
+        false,
+    );
+    let rounds = member.obs().counter("ftlinda_rejoin_attempts_total", "");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while member.rejoin_error().is_none() {
+        assert!(Instant::now() < deadline, "rejoin never reported an error");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(rounds.get() >= u64::from(SeqGroup::MAX_JOIN_ATTEMPTS));
+    let reported = rounds.get();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while rounds.get() < reported + 3 {
+        assert!(Instant::now() < deadline, "JoinReq rounds stopped");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let failed = member.obs().events().recent_of("rejoin_failed");
+    assert_eq!(failed.len(), 1, "rejoin_failed is emitted once");
+
+    // The coordinator comes up: the next round reaches it.
+    let obs0 = Registry::default();
+    let (mesh0, mut rxs0) = TcpMesh::start(TcpConfig::new(HostId(0), &addrs, 1), &obs0).unwrap();
+    let (_group0, coord) = SeqGroup::tcp_member(
+        mesh0.lane(0),
+        mesh0.universe(),
+        mesh0.me(),
+        rxs0.remove(0),
+        BatchConfig::default(),
+        CheckpointConfig::default(),
+        0,
+        true,
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while member.rejoin_error().is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "late coordinator never admitted the member"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    for m in [&member, &coord] {
+        m.stop();
+    }
+    mesh.shutdown();
+    mesh0.shutdown();
 }

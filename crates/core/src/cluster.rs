@@ -28,11 +28,11 @@ use crate::server::{events_json_lines, ExporterSources, HttpExporter};
 use consul_sim::{
     BatchConfig, CheckpointConfig, HostId, NetConfig, SeqGroup, SeqMember, TcpConfig, TcpMesh,
 };
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -290,13 +290,15 @@ impl ClusterBuilder {
         let flight = self.flight_dir.clone().map(|dir| {
             Arc::new(FlightRecorder::new(dir).expect("create flight recorder directory"))
         });
+        let (stop_tx, stop_rx) = crossbeam::channel::bounded(1);
         let cluster = Cluster {
             groups: wiring.groups,
             mesh: wiring.mesh,
             peer_http: wiring.peer_http,
             runtimes: Arc::new(Mutex::new(by_host)),
             obs,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop_tx: Mutex::new(Some(stop_tx)),
+            stop_rx,
             detector: Mutex::new(None),
             exporters: Mutex::new(HashMap::new()),
             flight,
@@ -445,7 +447,10 @@ pub struct Cluster {
     runtimes: Arc<Mutex<HashMap<HostId, Runtime>>>,
     /// Cluster-level registry: divergence counter + events.
     obs: Arc<linda_obs::Registry>,
-    stop: Arc<AtomicBool>,
+    /// Dropped by [`Cluster::shutdown`], which disconnects `stop_rx`:
+    /// the background loops wait on it between ticks and exit at once.
+    stop_tx: Mutex<Option<Sender<()>>>,
+    stop_rx: Receiver<()>,
     detector: Mutex<Option<JoinHandle<()>>>,
     /// One HTTP exporter per member (empty when built with `no_http`).
     exporters: Mutex<HashMap<HostId, HttpExporter>>,
@@ -475,7 +480,7 @@ impl Cluster {
     fn spawn_detector(&self, period: Duration) {
         let runtimes = self.runtimes.clone();
         let obs = self.obs.clone();
-        let stop = self.stop.clone();
+        let stop = self.stop_rx.clone();
         let net = self.groups[0].transport().clone();
         let shards = self.groups.len();
         let divergences = obs.counter(
@@ -488,8 +493,7 @@ impl Cluster {
                 // (shard, seq) pairs already reported, so a persistent
                 // divergence is surfaced once, not every tick.
                 let mut reported: HashSet<(usize, u64)> = HashSet::new();
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(period);
+                while ticks(&stop, period) {
                     let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
                     // Divergence is a per-shard property: each shard's
                     // replicas apply that shard's ordered prefix, so
@@ -770,11 +774,16 @@ impl Cluster {
         // way a per-member mirror would under snapshot merging.
         let stats: Vec<Arc<consul_sim::OrderStats>> =
             self.groups.iter().map(|g| g.stats_handle()).collect();
-        let stop = self.stop.clone();
-        let shard_multicasts = obs.gauge_family(
+        let stop = self.stop_rx.clone();
+        // One child per shard from the start, so a scrape that lands
+        // before the first tick already lists every shard.
+        let family = obs.gauge_family(
             "ftlinda_shard_multicasts_total",
             "Ordered multicasts issued on each shard's sequencer lane (sampled)",
         );
+        let shard_multicasts: Vec<_> = (0..stats.len())
+            .map(|i| family.with(&[("shard", &i.to_string())]))
+            .collect();
         let imbalance = obs.gauge_merged(
             "ftlinda_shard_imbalance_bp",
             "Heaviest shard's excess tuple share in basis points (0 even, 10000 one shard)",
@@ -783,12 +792,9 @@ impl Cluster {
         let handle = std::thread::Builder::new()
             .name("ftlinda-timeseries".into())
             .spawn(move || {
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(interval);
-                    for (i, s) in stats.iter().enumerate() {
-                        shard_multicasts
-                            .with(&[("shard", &i.to_string())])
-                            .set(i64::try_from(s.ordered_multicasts()).unwrap_or(i64::MAX));
+                while ticks(&stop, interval) {
+                    for (gauge, s) in shard_multicasts.iter().zip(&stats) {
+                        gauge.set(i64::try_from(s.ordered_multicasts()).unwrap_or(i64::MAX));
                     }
                     let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
                     // Local-only federation: the sampler must never pay
@@ -868,7 +874,7 @@ impl Cluster {
         let obs = self.obs.clone();
         let stats = self.groups[0].stats_handle();
         let net = self.groups[0].transport().clone();
-        let stop = self.stop.clone();
+        let stop = self.stop_rx.clone();
         let ring = self.timeseries.clone();
         let handle = std::thread::Builder::new()
             .name("ftlinda-flight".into())
@@ -879,8 +885,7 @@ impl Cluster {
                 // the baseline.
                 let mut seen: HashMap<(u32, &'static str), usize> = HashMap::new();
                 const CLUSTER: u32 = u32::MAX;
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(period);
+                while ticks(&stop, period) {
                     let mut fire: Option<&'static str> = None;
                     let mut check = |key: (u32, &'static str), count: usize| {
                         let last = seen.entry(key).or_insert(0);
@@ -983,7 +988,7 @@ impl Cluster {
 
     /// Tear everything down (idempotent).
     pub fn shutdown(&self) {
-        self.stop.store(true, AtomicOrdering::Relaxed);
+        self.stop_tx.lock().take();
         if let Some(h) = self.detector.lock().take() {
             let _ = h.join();
         }
@@ -1006,6 +1011,12 @@ impl Cluster {
             mesh.shutdown();
         }
     }
+}
+
+/// Wait one `period` for the cluster to stop: `true` when the period
+/// passed, `false` as soon as [`Cluster::shutdown`] runs.
+fn ticks(stop: &Receiver<()>, period: Duration) -> bool {
+    matches!(stop.recv_timeout(period), Err(RecvTimeoutError::Timeout))
 }
 
 /// How many hot signatures `/introspect` lists cluster-wide.

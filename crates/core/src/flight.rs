@@ -4,10 +4,10 @@
 //! Metrics and the event ring answer "what is happening now"; the flight
 //! recorder answers "what happened in the seconds before it went wrong".
 //! When the cluster observes a **digest divergence**, a **coordinator
-//! failover**, or a **rejoin give-up**, it dumps the full observability
-//! state of every member — event ring, recent spans, order-layer
-//! counters, kernel digests — to one timestamped file so the evidence
-//! survives process exit and can be diffed across members.
+//! failover**, or a **failed rejoin** (`rejoin_failed`), it dumps the
+//! full observability state of every member — event ring, recent spans,
+//! order-layer counters, kernel digests — to one timestamped file so the
+//! evidence survives process exit and can be diffed across members.
 //!
 //! Dumps are written atomically (`.tmp` + rename) so a scraper watching
 //! the directory never reads a half-written file.

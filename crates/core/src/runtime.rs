@@ -1097,9 +1097,11 @@ impl Runtime {
         self.metrics_snapshot().render()
     }
 
-    /// If this (restarted) host exhausted its rejoin retry budget without
-    /// finding a live peer on some shard, the error message describing
-    /// the give-up.
+    /// The rejoin error of the first shard whose member, while outside
+    /// the group (restarted, relaunched to join a running cluster, or
+    /// evicted), has sent [`consul_sim::SeqGroup::MAX_JOIN_ATTEMPTS`]
+    /// JoinReq rounds that no coordinator answered. The member keeps
+    /// retrying; the error clears when it joins.
     pub fn rejoin_error(&self) -> Option<String> {
         self.shared
             .lanes

@@ -2,7 +2,7 @@
 
 use ftlinda::{Ags, Cluster, FtError, HostId, MatchField as MF, NetConfig, Operand, TypeTag};
 use linda_tuple::{pat, tuple, Value};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn out_on_one_host_in_on_another() {
@@ -377,5 +377,30 @@ fn try_build_rejects_http_base_port_past_u16() {
         .http_base_port(65534)
         .try_build()
         .expect("last member on port 65535 fits");
+    cluster.shutdown();
+}
+
+/// Shutdown wakes the background loops instead of waiting out their
+/// periods (the time-series sampler's is a full second).
+#[test]
+fn shutdown_returns_promptly() {
+    let (cluster, _rts) = Cluster::new(3);
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    cluster.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(200), "shutdown took {took:?}");
+}
+
+/// Every shard's multicast gauge is on the cluster page from the moment
+/// the cluster is built, before the sampler's first tick.
+#[test]
+fn shard_multicast_gauges_exist_before_first_sample() {
+    let (cluster, _rts) = Cluster::builder().hosts(3).shards(2).build();
+    let page = cluster.cluster_metrics_text();
+    for shard in 0..2 {
+        let child = format!("ftlinda_shard_multicasts_total{{shard=\"{shard}\"}}");
+        assert!(page.contains(&child), "{child} missing from:\n{page}");
+    }
     cluster.shutdown();
 }

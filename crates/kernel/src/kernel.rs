@@ -22,7 +22,7 @@ use ftlinda_ags::{shard_of, Ags, AgsOutcome, ScratchId, TsId};
 use linda_space::{IndexReport, IndexedStore, LocalSpace, MatchStats, SignatureOccupancy, Store};
 use linda_tuple::{tuple, Tuple};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1618,41 +1618,19 @@ impl Kernel {
         Self::digest_of(&self.stables, &self.blocked)
     }
 
-    /// Signature-bucket-scoped digest of one stable space: XOR of
-    /// per-bucket hashes, each hashing the signature key, the bucket's
-    /// tuples oldest-first, and the bucket size. Unlike [`Kernel::digest`]
-    /// this is insensitive to the *global* interleaving of insertions
-    /// across signatures — which cross-shard checkout/reinstall permutes
-    /// — while still pinning the withdraw order within every bucket. The
-    /// XOR over all shards of a sharded deployment therefore equals the
-    /// unsharded kernel's value (buckets are disjoint across shards),
-    /// which is exactly the equivalence the sharded-vs-unsharded
-    /// proptests check. An absent or empty space digests to 0.
+    /// Digest of one stable space ([`IndexedStore::digest`]). It ignores
+    /// the interleaving of insertions across signatures, which cross-shard
+    /// checkout/reinstall permutes, so the XOR over all shards of a
+    /// sharded deployment equals the unsharded kernel's value — the
+    /// equivalence the sharded-vs-unsharded proptests check. An absent
+    /// or empty space digests to 0.
     pub fn canonical_space_digest(&self, id: TsId) -> u64 {
-        let Some(store) = self.stables.get(&id) else {
-            return 0;
-        };
-        let mut buckets: BTreeMap<u64, (linda_tuple::StableHasher, u64)> = BTreeMap::new();
-        for t in store.tuples_in_order() {
-            let sig = t.signature().stable_hash();
-            let entry = buckets.entry(sig).or_insert_with(|| {
-                let mut h = linda_tuple::StableHasher::default();
-                h.write_u64(sig);
-                (h, 0)
-            });
-            t.hash(&mut entry.0);
-            entry.1 += 1;
-        }
-        let mut acc = 0u64;
-        for (mut h, count) in buckets.into_values() {
-            h.write_u64(0x5eed ^ count);
-            acc ^= h.finish();
-        }
-        acc
+        self.stables.get(&id).map_or(0, IndexedStore::digest)
     }
 
-    /// The digest computation proper, over explicit state. Restore uses
-    /// this to verify a rebuilt candidate *before* committing it.
+    /// The digest computation proper, over explicit state: every space's
+    /// digest under its id, then the blocked queue. Restore uses this to
+    /// verify a rebuilt candidate *before* committing it.
     fn digest_of(
         stables: &BTreeMap<TsId, IndexedStore>,
         blocked: &BTreeMap<u64, BlockedAgs>,
@@ -1660,9 +1638,7 @@ impl Kernel {
         let mut h = linda_tuple::StableHasher::default();
         for (id, store) in stables {
             h.write_u64(id.0 as u64 + 0x9e37);
-            for t in store.tuples_in_order() {
-                t.hash(&mut h);
-            }
+            h.write_u64(store.digest());
         }
         h.write_u64(0xb10c * (blocked.len() as u64 + 1));
         for b in blocked.values() {

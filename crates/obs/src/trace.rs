@@ -659,8 +659,9 @@ fn write_span_line<'a>(
 /// tab-separated span wire format — the payload a member's `/spans/<id>`
 /// endpoint serves so a federated assembler can merge remote spans
 /// without a JSON parser. Line 1 is the header
-/// `ftlspans <version> <horizon µs | ->`; each further line is one span
-/// (see [`write_span_line`]).
+/// `ftlspans <version> <horizon µs | ->`; each further line is one span,
+/// `origin <TAB> local <TAB> stage <TAB> host <TAB> at_us
+/// [<TAB> key <TAB> value]…` with every string field [`wire_escape`]d.
 pub fn spans_wire(spans: &[SpanRecord], horizon: Option<u64>) -> String {
     let mut out = String::with_capacity(32 + spans.len() * 96);
     out.push_str("ftlspans\t1\t");

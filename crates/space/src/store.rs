@@ -45,6 +45,7 @@
 use linda_tuple::{PatField, Pattern, Signature, StableMap, Tuple, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// Tuning knobs for the adaptive matching engine, set per store with
 /// [`IndexedStore::with_config`], [`AdaptiveStore::with_config`] or
@@ -650,17 +651,23 @@ impl IndexedStore {
         self.buckets.get(&p.signature().stable_hash())
     }
 
-    /// Every stored tuple in insertion order, borrowed: the order of
-    /// [`Store::snapshot`] without cloning, for walks (such as
-    /// replica digests) that only read.
-    pub fn tuples_in_order(&self) -> Vec<&Tuple> {
-        let mut all: Vec<(u64, &Tuple)> = self
-            .buckets
-            .values()
-            .flat_map(|b| b.entries.iter().map(|(s, t)| (*s, t)))
-            .collect();
-        all.sort_unstable_by_key(|(s, _)| *s);
-        all.into_iter().map(|(_, t)| t).collect()
+    /// Replica digest of the stored tuples: XOR over signature buckets
+    /// of H(signature hash, the bucket's tuples oldest first, count).
+    /// Every pattern matches within one bucket, so the interleaving of
+    /// insertions across buckets cannot be observed and does not count;
+    /// the withdraw order inside each bucket does. Buckets are disjoint
+    /// across shards, so the XOR of every shard's digest equals the
+    /// digest of the unsharded store. An empty store digests to 0.
+    pub fn digest(&self) -> u64 {
+        self.buckets.iter().fold(0, |acc, (sig, bucket)| {
+            let mut h = linda_tuple::StableHasher::default();
+            h.write_u64(*sig);
+            for t in bucket.entries.values() {
+                t.hash(&mut h);
+            }
+            h.write_u64(0x5eed ^ bucket.entries.len() as u64);
+            acc ^ h.finish()
+        })
     }
 
     /// Shared insert path: miss-cache invalidation, bucket insert, and
@@ -919,7 +926,13 @@ impl Store for IndexedStore {
     }
 
     fn snapshot(&self) -> Vec<Tuple> {
-        self.tuples_in_order().into_iter().cloned().collect()
+        let mut all: Vec<(u64, &Tuple)> = self
+            .buckets
+            .values()
+            .flat_map(|b| b.entries.iter().map(|(s, t)| (*s, t)))
+            .collect();
+        all.sort_unstable_by_key(|(s, _)| *s);
+        all.into_iter().map(|(_, t)| t.clone()).collect()
     }
 
     fn match_stats(&self) -> MatchStats {

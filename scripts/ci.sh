@@ -9,6 +9,10 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Broken or private intra-doc links (e.g. to a deleted item) fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo build --release"
 cargo build --release
 
