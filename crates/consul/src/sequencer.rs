@@ -1332,21 +1332,12 @@ impl State {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.assigned.insert((origin, local), seq);
-        if !self.batch_cfg.enabled() {
-            self.flush_span(origin, local, seq, 1, Duration::ZERO);
-            self.distribute(Record {
-                seq,
-                origin,
-                local,
-                body: RecordBody::App(payload),
-            });
-            return;
-        }
         let now = Instant::now();
         if self.batch.is_empty() {
             if now.duration_since(self.last_flush) >= self.batch_cfg.window {
                 // Idle coordinator: flush solo immediately, so batching
-                // adds zero latency to sequential workloads.
+                // adds zero latency to sequential workloads. With
+                // batching off (a zero window) every submit lands here.
                 self.last_flush = now;
                 self.flush_span(origin, local, seq, 1, Duration::ZERO);
                 self.distribute(Record {

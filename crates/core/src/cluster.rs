@@ -21,12 +21,13 @@
 //! disk on `digest_divergence`, `coordinator_failover` and
 //! `rejoin_failed` events ([`ClusterBuilder::flight_dir`]).
 
-use crate::federation::{federate_metrics, federate_trace, MemberSource};
+use crate::federation::{federate_metrics, federate_trace, local_spans, MemberSource};
 use crate::flight::{FlightRecorder, FlightSection};
 use crate::runtime::{Runtime, RuntimeConfig};
-use crate::server::{events_json_lines, ExporterSources, HttpExporter};
+use crate::server::{events_json_lines, HttpExporter};
 use consul_sim::{
-    BatchConfig, CheckpointConfig, HostId, NetConfig, SeqGroup, SeqMember, TcpConfig, TcpMesh,
+    BatchConfig, CheckpointConfig, HostId, NetConfig, SeqGroup, SeqMember, SeqNet, TcpConfig,
+    TcpMesh,
 };
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -291,12 +292,18 @@ impl ClusterBuilder {
             Arc::new(FlightRecorder::new(dir).expect("create flight recorder directory"))
         });
         let (stop_tx, stop_rx) = crossbeam::channel::bounded(1);
+        let view = Arc::new(ClusterView {
+            runtimes: Mutex::new(by_host),
+            obs,
+            net: wiring.groups[0].transport().clone(),
+            peer_http: wiring.peer_http,
+            timeseries: Arc::new(linda_obs::TimeSeriesRing::default()),
+            tcp: wiring.mesh.is_some(),
+        });
         let cluster = Cluster {
             groups: wiring.groups,
             mesh: wiring.mesh,
-            peer_http: wiring.peer_http,
-            runtimes: Arc::new(Mutex::new(by_host)),
-            obs,
+            view,
             stop_tx: Mutex::new(Some(stop_tx)),
             stop_rx,
             detector: Mutex::new(None),
@@ -304,7 +311,6 @@ impl ClusterBuilder {
             flight,
             monitor: Mutex::new(None),
             sampler: Mutex::new(None),
-            timeseries: Arc::new(linda_obs::TimeSeriesRing::default()),
             run_cfg,
         };
         // The divergence detector and trace/metrics aggregation only see
@@ -436,17 +442,9 @@ pub struct Cluster {
     /// [`Transport::Tcp`] (`None` under Sim). Held for shutdown and
     /// per-link socket counters.
     mesh: Option<TcpMesh>,
-    /// Peer members' HTTP exporter addresses — the federation targets
-    /// for `/cluster/trace/<id>` and `/metrics/cluster`. Non-empty only
-    /// under [`Transport::Tcp`] with a fixed
-    /// [`ClusterBuilder::http_base_port`]; under Sim every member is in
-    /// this process and federation needs no network.
-    peer_http: Vec<(HostId, SocketAddr)>,
-    /// Current runtime per host, replaced on restart so the divergence
-    /// detector always samples the live incarnation.
-    runtimes: Arc<Mutex<HashMap<HostId, Runtime>>>,
-    /// Cluster-level registry: divergence counter + events.
-    obs: Arc<linda_obs::Registry>,
+    /// What the background threads, the exporters and the in-process
+    /// trace and metrics views read.
+    view: Arc<ClusterView>,
     /// Dropped by [`Cluster::shutdown`], which disconnects `stop_rx`:
     /// the background loops wait on it between ticks and exit at once.
     stop_tx: Mutex<Option<Sender<()>>>,
@@ -459,8 +457,6 @@ pub struct Cluster {
     monitor: Mutex<Option<JoinHandle<()>>>,
     /// Time-series sampler thread.
     sampler: Mutex<Option<JoinHandle<()>>>,
-    /// Bounded ring of periodic metric snapshots (`/timeseries`).
-    timeseries: Arc<linda_obs::TimeSeriesRing>,
     /// Observability configuration every runtime (including restarted
     /// incarnations) is built with.
     run_cfg: RuntimeConfig,
@@ -478,12 +474,10 @@ impl Cluster {
     }
 
     fn spawn_detector(&self, period: Duration) {
-        let runtimes = self.runtimes.clone();
-        let obs = self.obs.clone();
+        let view = self.view.clone();
         let stop = self.stop_rx.clone();
-        let net = self.groups[0].transport().clone();
         let shards = self.groups.len();
-        let divergences = obs.counter(
+        let divergences = view.obs.counter(
             "ftlinda_digest_divergence_total",
             "Replica digest mismatches observed at equal applied sequence",
         );
@@ -494,14 +488,14 @@ impl Cluster {
                 // divergence is surfaced once, not every tick.
                 let mut reported: HashSet<(usize, u64)> = HashSet::new();
                 while ticks(&stop, period) {
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
+                    let live = view.live();
                     // Divergence is a per-shard property: each shard's
                     // replicas apply that shard's ordered prefix, so
                     // equal (shard, seq) must imply equal digest. This
                     // never false-positives on replicas that merely lag.
                     for shard in 0..shards {
                         let samples: Vec<(HostId, u64, u64)> = {
-                            let map = runtimes.lock();
+                            let map = view.runtimes.lock();
                             map.iter()
                                 .filter(|(h, _)| live.contains(h))
                                 .map(|(h, rt)| {
@@ -529,7 +523,8 @@ impl Cluster {
                                 for (h, d) in &group {
                                     fields.push((format!("digest_h{}", h.0), format!("{d:#x}")));
                                 }
-                                obs.events()
+                                view.obs
+                                    .events()
                                     .emit(linda_obs::Event::new("digest_divergence", fields));
                             }
                         }
@@ -544,165 +539,32 @@ impl Cluster {
     /// `digest_divergence` events live here (per-host pipeline metrics
     /// live on each [`Runtime::obs`]).
     pub fn obs(&self) -> Arc<linda_obs::Registry> {
-        self.obs.clone()
+        self.view.obs.clone()
     }
 
     /// Render cluster-level metrics in Prometheus text format.
     pub fn metrics_text(&self) -> String {
-        self.obs.render()
+        self.view.obs.render()
     }
 
     fn spawn_exporters(&self, base_port: u16) {
         let hosts: Vec<HostId> = {
-            let mut hs: Vec<HostId> = self.runtimes.lock().keys().copied().collect();
+            let mut hs: Vec<HostId> = self.view.runtimes.lock().keys().copied().collect();
             hs.sort_by_key(|h| h.0);
             hs
         };
         for host in hosts {
             let port =
                 exporter_port(base_port, host.0).expect("exporter ports checked by try_build");
-            // Every closure samples the runtimes map, not a pinned
-            // Runtime, so endpoints keep reflecting the live incarnation
-            // across crash/restart cycles (the exporter itself models an
-            // out-of-process scrape sidecar and survives the simulated
-            // crash).
-            let runtimes = self.runtimes.clone();
-            let metrics = {
-                let runtimes = runtimes.clone();
-                Arc::new(move || {
-                    runtimes
-                        .lock()
-                        .get(&host)
-                        .map(|rt| rt.metrics_text())
-                        .unwrap_or_default()
-                }) as Arc<dyn Fn() -> String + Send + Sync>
-            };
-            let health = {
-                let runtimes = runtimes.clone();
-                let net = self.groups[0].transport().clone();
-                Arc::new(move || {
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
-                    let map = runtimes.lock();
-                    member_health_json(host, &live, map.get(&host))
-                }) as Arc<dyn Fn() -> String + Send + Sync>
-            };
-            let events = {
-                let runtimes = runtimes.clone();
-                Arc::new(move || {
-                    runtimes
-                        .lock()
-                        .get(&host)
-                        .map(|rt| events_json_lines(&rt.obs().events().recent()))
-                        .unwrap_or_default()
-                }) as Arc<dyn Fn() -> String + Send + Sync>
-            };
-            // `/trace/<id>` and `/cluster/trace/<id>` serve the same
-            // federated view: every in-process member's spans plus every
-            // live peer process's `/spans/<id>`. Sources are built under
-            // the lock (cheap clones) and the network is walked without
-            // it, so a slow peer never blocks the runtimes map.
-            let federated_trace = {
-                let runtimes = runtimes.clone();
-                let peer_http = self.peer_http.clone();
-                let net = self.groups[0].transport().clone();
-                Arc::new(move |id: linda_obs::TraceId| {
-                    let sources = member_sources(&runtimes.lock(), &peer_http);
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
-                    federate_trace(&sources, &live, id).to_json()
-                }) as Arc<dyn Fn(linda_obs::TraceId) -> String + Send + Sync>
-            };
-            let trace = federated_trace.clone();
-            let cluster_trace = federated_trace;
-            // The federation leaf endpoints never fan out: `/spans/<id>`
-            // and `/metrics/snapshot` serve only this member's state, so
-            // a peer assembling its own cluster view can fetch them
-            // without recursion.
-            let spans = {
-                let runtimes = runtimes.clone();
-                Arc::new(move |id: linda_obs::TraceId| {
-                    let map = runtimes.lock();
-                    let mut spans: Vec<linda_obs::SpanRecord> = Vec::new();
-                    let mut horizon: Option<u64> = None;
-                    if let Some(rt) = map.get(&host) {
-                        for obs in rt.obs_all() {
-                            let log = obs.spans();
-                            spans.extend(log.spans_of(id));
-                            if let Some(h) = log.evicted_newest_micros() {
-                                horizon = Some(horizon.map_or(h, |x| x.max(h)));
-                            }
-                        }
-                    }
-                    linda_obs::spans_wire(&spans, horizon)
-                }) as Arc<dyn Fn(linda_obs::TraceId) -> String + Send + Sync>
-            };
-            let snapshot = {
-                let runtimes = runtimes.clone();
-                // Under TCP this process IS the member, so its leaf
-                // snapshot carries the process-level cluster registry
-                // too (mesh link counters, divergence counter); under
-                // Sim the cluster registry is added once by whichever
-                // federator serves the merged page.
-                let obs = self.mesh.is_some().then(|| self.obs.clone());
-                Arc::new(move || {
-                    let member = runtimes.lock().get(&host).map(|rt| rt.metrics_snapshot());
-                    match (&obs, member) {
-                        (Some(obs), Some(m)) => {
-                            let mut snap = obs.snapshot();
-                            snap.merge(&m);
-                            snap.to_wire()
-                        }
-                        (Some(obs), None) => obs.snapshot().to_wire(),
-                        (None, Some(m)) => m.to_wire(),
-                        (None, None) => linda_obs::Registry::new().snapshot().to_wire(),
-                    }
-                }) as Arc<dyn Fn() -> String + Send + Sync>
-            };
-            let introspect = {
-                let runtimes = runtimes.clone();
-                Arc::new(move || {
-                    runtimes
-                        .lock()
-                        .get(&host)
-                        .and_then(|rt| rt.introspect_json(HOT_SIGNATURES_TOP_K))
-                }) as Arc<dyn Fn() -> Option<String> + Send + Sync>
-            };
-            let cluster_metrics = {
-                let runtimes = runtimes.clone();
-                let obs = self.obs.clone();
-                let net = self.groups[0].transport().clone();
-                let peer_http = self.peer_http.clone();
-                Arc::new(move || {
-                    let sources = member_sources(&runtimes.lock(), &peer_http);
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
-                    federate_metrics(&sources, &live, &obs).render()
-                }) as Arc<dyn Fn() -> String + Send + Sync>
-            };
-            let timeseries = {
-                let ring = self.timeseries.clone();
-                Arc::new(move || ring.to_json()) as Arc<dyn Fn() -> String + Send + Sync>
-            };
-            match HttpExporter::spawn(
-                port,
-                ExporterSources {
-                    metrics,
-                    health,
-                    events,
-                    trace,
-                    introspect,
-                    cluster_metrics,
-                    timeseries,
-                    snapshot,
-                    spans,
-                    cluster_trace,
-                },
-            ) {
+            let view = self.view.clone();
+            match HttpExporter::spawn(port, move |path| view.route(host, path)) {
                 Ok(exp) => {
                     self.exporters.lock().insert(host, exp);
                 }
                 Err(e) => {
                     // A busy fixed port shouldn't take the cluster down;
                     // surface it as an event instead.
-                    self.obs.events().emit(linda_obs::Event::new(
+                    self.view.obs.events().emit(linda_obs::Event::new(
                         "http_exporter_failed",
                         vec![
                             ("host".into(), host.0.to_string()),
@@ -733,13 +595,7 @@ impl Cluster {
     /// [`linda_obs::TraceTree::truncated_hosts`] — an incomplete tree is
     /// never silently presented as the whole story.
     pub fn trace(&self, id: linda_obs::TraceId) -> linda_obs::TraceTree {
-        let sources = member_sources(&self.runtimes.lock(), &self.peer_http);
-        let live: HashSet<HostId> = self.groups[0]
-            .transport()
-            .live_hosts()
-            .into_iter()
-            .collect();
-        federate_trace(&sources, &live, id)
+        self.view.trace(id)
     }
 
     /// One Prometheus text page for the whole group: the cluster
@@ -750,13 +606,7 @@ impl Cluster {
     /// page has the same shape as the in-process Sim one. Served as
     /// `/metrics/cluster` on every member's exporter.
     pub fn cluster_metrics_text(&self) -> String {
-        let sources = member_sources(&self.runtimes.lock(), &self.peer_http);
-        let live: HashSet<HostId> = self.groups[0]
-            .transport()
-            .live_hosts()
-            .into_iter()
-            .collect();
-        federate_metrics(&sources, &live, &self.obs).render()
+        self.view.cluster_metrics().render()
     }
 
     /// Time-series sampler: every `interval`, refresh the cluster-level
@@ -764,10 +614,7 @@ impl Cluster {
     /// imbalance) and append one snapshot of the selected series to the
     /// bounded ring served as `/timeseries`.
     fn spawn_sampler(&self, interval: Duration) {
-        let ring = self.timeseries.clone();
-        let runtimes = self.runtimes.clone();
-        let obs = self.obs.clone();
-        let net = self.groups[0].transport().clone();
+        let view = self.view.clone();
         // Per-shard ordered-multicast counts are sampled from the
         // sequencer groups directly: OrderStats is ONE object per group,
         // so reading it here avoids multiplying by the replica count the
@@ -777,14 +624,14 @@ impl Cluster {
         let stop = self.stop_rx.clone();
         // One child per shard from the start, so a scrape that lands
         // before the first tick already lists every shard.
-        let family = obs.gauge_family(
+        let family = view.obs.gauge_family(
             "ftlinda_shard_multicasts_total",
             "Ordered multicasts issued on each shard's sequencer lane (sampled)",
         );
         let shard_multicasts: Vec<_> = (0..stats.len())
             .map(|i| family.with(&[("shard", &i.to_string())]))
             .collect();
-        let imbalance = obs.gauge_merged(
+        let imbalance = view.obs.gauge_merged(
             "ftlinda_shard_imbalance_bp",
             "Heaviest shard's excess tuple share in basis points (0 even, 10000 one shard)",
             linda_obs::GaugeMerge::Max,
@@ -796,13 +643,10 @@ impl Cluster {
                     for (gauge, s) in shard_multicasts.iter().zip(&stats) {
                         gauge.set(i64::try_from(s.ordered_multicasts()).unwrap_or(i64::MAX));
                     }
-                    let live: HashSet<HostId> = net.live_hosts().into_iter().collect();
                     // Local-only federation: the sampler must never pay
                     // a peer connect timeout on its 1 s tick.
-                    let snap = {
-                        let map = runtimes.lock();
-                        federate_metrics(&member_sources(&map, &[]), &live, &obs)
-                    };
+                    let sources = member_sources(&view.runtimes.lock(), &[]);
+                    let snap = federate_metrics(&sources, &view.live(), &view.obs);
                     // Tuple loads per shard, summed over replicas — the
                     // replication factor is uniform, so the imbalance
                     // ratio is unchanged by the sum.
@@ -831,7 +675,7 @@ impl Cluster {
                         "ftlinda_shard_imbalance_bp".to_string(),
                         ftlinda_ags::imbalance_bp(&loads),
                     ));
-                    ring.sample(values);
+                    view.timeseries.sample(values);
                 }
             })
             .expect("spawn time-series sampler");
@@ -841,7 +685,7 @@ impl Cluster {
     /// The in-memory metrics time-series ring. Serialized as
     /// `/timeseries` on every member's exporter.
     pub fn timeseries(&self) -> Arc<linda_obs::TimeSeriesRing> {
-        self.timeseries.clone()
+        self.view.timeseries.clone()
     }
 
     /// The flight-recorder dump directory, when one was configured.
@@ -855,14 +699,7 @@ impl Cluster {
     /// and operators can force a dump.
     pub fn flight_dump(&self, reason: &str) -> Option<std::io::Result<PathBuf>> {
         let flight = self.flight.as_ref()?;
-        let live: Vec<HostId> = self.groups[0].transport().live_hosts();
-        let sections = flight_sections(
-            &self.runtimes.lock(),
-            &self.obs,
-            self.groups[0].stats(),
-            &live,
-            &self.timeseries,
-        );
+        let sections = self.view.flight_sections(self.groups[0].stats());
         Some(flight.dump(reason, &sections))
     }
 
@@ -870,12 +707,9 @@ impl Cluster {
         let Some(flight) = self.flight.clone() else {
             return;
         };
-        let runtimes = self.runtimes.clone();
-        let obs = self.obs.clone();
+        let view = self.view.clone();
         let stats = self.groups[0].stats_handle();
-        let net = self.groups[0].transport().clone();
         let stop = self.stop_rx.clone();
-        let ring = self.timeseries.clone();
         let handle = std::thread::Builder::new()
             .name("ftlinda-flight".into())
             .spawn(move || {
@@ -896,10 +730,10 @@ impl Cluster {
                     };
                     check(
                         (CLUSTER, "digest_divergence"),
-                        obs.events().recent_of("digest_divergence").len(),
+                        view.obs.events().recent_of("digest_divergence").len(),
                     );
                     {
-                        let map = runtimes.lock();
+                        let map = view.runtimes.lock();
                         for (h, rt) in map.iter() {
                             for kind in ["coordinator_failover", "rejoin_failed"] {
                                 check((h.0, kind), rt.obs().events().recent_of(kind).len());
@@ -907,10 +741,7 @@ impl Cluster {
                         }
                     }
                     if let Some(reason) = fire {
-                        let live: Vec<HostId> = net.live_hosts();
-                        let sections =
-                            flight_sections(&runtimes.lock(), &obs, &stats, &live, &ring);
-                        let _ = flight.dump(reason, &sections);
+                        let _ = flight.dump(reason, &view.flight_sections(&stats));
                     }
                 }
             })
@@ -935,7 +766,7 @@ impl Cluster {
         // configuration (watchdog threshold).
         let members: Vec<SeqMember> = self.groups.iter().map(|g| g.restart(host)).collect();
         let rt = Runtime::with_members(members, self.run_cfg.clone());
-        self.runtimes.lock().insert(host, rt.clone());
+        self.view.runtimes.lock().insert(host, rt.clone());
         rt
     }
 
@@ -1001,7 +832,7 @@ impl Cluster {
         for (_, mut exp) in self.exporters.lock().drain() {
             exp.stop();
         }
-        for rt in self.runtimes.lock().values() {
+        for rt in self.view.runtimes.lock().values() {
             rt.shutdown();
         }
         for group in &self.groups {
@@ -1021,6 +852,172 @@ fn ticks(stop: &Receiver<()>, period: Duration) -> bool {
 
 /// How many hot signatures `/introspect` lists cluster-wide.
 const HOT_SIGNATURES_TOP_K: usize = 10;
+
+/// This process's view of the cluster's members, shared by the
+/// background threads, every member's HTTP exporter and the [`Cluster`]
+/// methods that serve the same views in-process.
+struct ClusterView {
+    /// Current runtime per host, replaced on restart so every reader
+    /// samples the live incarnation.
+    runtimes: Mutex<HashMap<HostId, Runtime>>,
+    /// Cluster-level registry: divergence counter + events.
+    obs: Arc<linda_obs::Registry>,
+    /// Shard 0's transport, whose live view the failure detector keeps.
+    net: SeqNet,
+    /// Peer members' HTTP exporter addresses — the federation targets
+    /// for `/cluster/trace/<id>` and `/metrics/cluster`. Non-empty only
+    /// under [`Transport::Tcp`] with a fixed
+    /// [`ClusterBuilder::http_base_port`]; under Sim every member is in
+    /// this process and federation needs no network.
+    peer_http: Vec<(HostId, SocketAddr)>,
+    /// Bounded ring of periodic metric snapshots (`/timeseries`).
+    timeseries: Arc<linda_obs::TimeSeriesRing>,
+    /// Built with [`Transport::Tcp`]: this process hosts one member.
+    tcp: bool,
+}
+
+impl ClusterView {
+    /// Hosts the transport currently counts live.
+    fn live(&self) -> HashSet<HostId> {
+        self.net.live_hosts().into_iter().collect()
+    }
+
+    /// The cluster-wide span tree of one AGS: every in-process member's
+    /// spans plus every live peer process's `/spans/<id>`. Sources are
+    /// built under the lock (cheap clones) and the network is walked
+    /// without it, so a slow peer never blocks the runtimes map.
+    fn trace(&self, id: linda_obs::TraceId) -> linda_obs::TraceTree {
+        let sources = member_sources(&self.runtimes.lock(), &self.peer_http);
+        federate_trace(&sources, &self.live(), id)
+    }
+
+    /// The cluster registry merged with every live member's snapshot.
+    fn cluster_metrics(&self) -> linda_obs::RegistrySnapshot {
+        let sources = member_sources(&self.runtimes.lock(), &self.peer_http);
+        federate_metrics(&sources, &self.live(), &self.obs)
+    }
+
+    /// Answer one GET on member `host`'s exporter as `(status, content
+    /// type, body)`. Every endpoint reads the live runtime map, not a
+    /// pinned `Runtime`: the exporter models an out-of-process scrape
+    /// sidecar, so it keeps answering while its member is crashed and
+    /// picks up the restarted incarnation.
+    fn route(&self, host: HostId, path: &str) -> (u16, &'static str, String) {
+        const PROMETHEUS: &str = "text/plain; version=0.0.4";
+        let rt = self.runtimes.lock().get(&host).cloned();
+        match path {
+            "/metrics" => {
+                let text = rt.map(|rt| rt.metrics_text());
+                (200, PROMETHEUS, text.unwrap_or_default())
+            }
+            "/metrics/cluster" => (200, PROMETHEUS, self.cluster_metrics().render()),
+            // A federation leaf: it never fans out, so a peer assembling
+            // its own cluster view can fetch it without recursion. Under
+            // TCP this process IS the member, so the snapshot carries the
+            // process-level cluster registry too (mesh link counters,
+            // divergence counter); under Sim the cluster registry is
+            // added once by whichever federator serves the merged page.
+            "/metrics/snapshot" => {
+                let mut snap = if self.tcp {
+                    self.obs.snapshot()
+                } else {
+                    linda_obs::RegistrySnapshot::default()
+                };
+                if let Some(rt) = rt {
+                    snap.merge(&rt.metrics_snapshot());
+                }
+                (200, "text/plain", snap.to_wire())
+            }
+            "/introspect" => match rt.and_then(|rt| rt.introspect_json(HOT_SIGNATURES_TOP_K)) {
+                Some(body) => (200, "application/json", body),
+                None => (404, "text/plain", "no runtime for this member".into()),
+            },
+            "/timeseries" => (200, "application/json", self.timeseries.to_json()),
+            "/healthz" => {
+                let body = member_health_json(host, &self.live(), rt.as_ref());
+                (200, "application/json", body)
+            }
+            "/events" => {
+                let events = rt.map(|rt| events_json_lines(&rt.obs().events().recent()));
+                (200, "application/x-ndjson", events.unwrap_or_default())
+            }
+            _ => {
+                let leaf = path.strip_prefix("/spans/");
+                let Some(id) = leaf
+                    .or_else(|| path.strip_prefix("/trace/"))
+                    .or_else(|| path.strip_prefix("/cluster/trace/"))
+                else {
+                    return (
+                        404,
+                        "text/plain",
+                        "not found; try /metrics /metrics/cluster /metrics/snapshot /introspect /timeseries /healthz /events /trace/<origin>-<local> /spans/<id> /cluster/trace/<id>".into(),
+                    );
+                };
+                match id.parse::<linda_obs::TraceId>() {
+                    Err(e) => (400, "text/plain", e.to_string()),
+                    // The other federation leaf: this member's spans only.
+                    Ok(id) if leaf.is_some() => {
+                        let (spans, horizons) =
+                            rt.map(|rt| local_spans(&rt, id)).unwrap_or_default();
+                        let horizon = horizons.into_iter().flatten().max();
+                        (200, "text/plain", linda_obs::spans_wire(&spans, horizon))
+                    }
+                    // `/trace/<id>` and `/cluster/trace/<id>` serve the
+                    // same federated view.
+                    Ok(id) => (200, "application/json", self.trace(id).to_json()),
+                }
+            }
+        }
+    }
+
+    /// The sections of one flight-recorder dump: per-member event ring,
+    /// span log and applied digest, plus cluster-level events,
+    /// ordering-layer counters and the time series.
+    fn flight_sections(&self, stats: &consul_sim::OrderStats) -> Vec<FlightSection> {
+        let live_set = self.live();
+        let runtimes = self.runtimes.lock();
+        let mut hosts: Vec<HostId> = runtimes.keys().copied().collect();
+        hosts.sort_by_key(|h| h.0);
+        let mut sections = Vec::new();
+        for h in hosts {
+            let rt = &runtimes[&h];
+            sections.push(FlightSection::new(
+                format!("state host={}", h.0),
+                member_health_json(h, &live_set, Some(rt)),
+            ));
+            sections.push(FlightSection::new(
+                format!("events host={}", h.0),
+                events_json_lines(&rt.obs().events().recent()),
+            ));
+            let mut spans = String::new();
+            for s in rt.obs().spans().recent() {
+                spans.push_str(&linda_obs::span_json(&s));
+                spans.push('\n');
+            }
+            sections.push(FlightSection::new(format!("spans host={}", h.0), spans));
+        }
+        sections.push(FlightSection::new(
+            "cluster events",
+            events_json_lines(&self.obs.events().recent()),
+        ));
+        sections.push(FlightSection::new(
+            "order stats",
+            format!(
+                "broadcasts={} delivered={} view_changes={} retransmits={} \
+                 ordered_multicasts={} batches={} batch_entries={}\n",
+                stats.broadcasts(),
+                stats.delivered(),
+                stats.view_changes(),
+                stats.retransmits(),
+                stats.ordered_multicasts(),
+                stats.batches(),
+                stats.batch_entries()
+            ),
+        ));
+        sections.push(FlightSection::new("timeseries", self.timeseries.to_json()));
+        sections
+    }
+}
 
 /// Every member as a federation source: the runtimes in this process
 /// directly, plus one remote source per known peer exporter (TCP with a
@@ -1088,59 +1085,6 @@ fn member_health_json(host: HostId, live: &HashSet<HostId>, rt: Option<&Runtime>
     }
     out.push_str("}\n");
     out
-}
-
-/// The sections of one flight-recorder dump: per-member event ring,
-/// span log and applied digest, plus cluster-level events and
-/// ordering-layer counters.
-fn flight_sections(
-    runtimes: &HashMap<HostId, Runtime>,
-    obs: &linda_obs::Registry,
-    stats: &consul_sim::OrderStats,
-    live: &[HostId],
-    timeseries: &linda_obs::TimeSeriesRing,
-) -> Vec<FlightSection> {
-    let live_set: HashSet<HostId> = live.iter().copied().collect();
-    let mut hosts: Vec<HostId> = runtimes.keys().copied().collect();
-    hosts.sort_by_key(|h| h.0);
-    let mut sections = Vec::new();
-    for h in hosts {
-        let rt = &runtimes[&h];
-        sections.push(FlightSection::new(
-            format!("state host={}", h.0),
-            member_health_json(h, &live_set, Some(rt)),
-        ));
-        sections.push(FlightSection::new(
-            format!("events host={}", h.0),
-            events_json_lines(&rt.obs().events().recent()),
-        ));
-        let mut spans = String::new();
-        for s in rt.obs().spans().recent() {
-            spans.push_str(&linda_obs::span_json(&s));
-            spans.push('\n');
-        }
-        sections.push(FlightSection::new(format!("spans host={}", h.0), spans));
-    }
-    sections.push(FlightSection::new(
-        "cluster events",
-        events_json_lines(&obs.events().recent()),
-    ));
-    sections.push(FlightSection::new(
-        "order stats",
-        format!(
-            "broadcasts={} delivered={} view_changes={} retransmits={} \
-             ordered_multicasts={} batches={} batch_entries={}\n",
-            stats.broadcasts(),
-            stats.delivered(),
-            stats.view_changes(),
-            stats.retransmits(),
-            stats.ordered_multicasts(),
-            stats.batches(),
-            stats.batch_entries()
-        ),
-    ));
-    sections.push(FlightSection::new("timeseries", timeseries.to_json()));
-    sections
 }
 
 impl Drop for Cluster {

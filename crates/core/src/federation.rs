@@ -70,19 +70,7 @@ impl MemberSource {
         id: linda_obs::TraceId,
     ) -> Result<(Vec<linda_obs::SpanRecord>, Vec<Option<u64>>), String> {
         match self {
-            MemberSource::Local(rt) => {
-                let mut spans = Vec::new();
-                let mut horizons = Vec::new();
-                // One span log per shard registry; per-shard local-id
-                // bases keep trace ids disjoint, so collecting from all
-                // lanes is safe.
-                for obs in rt.obs_all() {
-                    let log = obs.spans();
-                    spans.extend(log.spans_of(id));
-                    horizons.push(log.evicted_newest_micros());
-                }
-                Ok((spans, horizons))
-            }
+            MemberSource::Local(rt) => Ok(local_spans(rt, id)),
             MemberSource::Remote { http, .. } => {
                 let (status, body) = http_get(*http, &format!("/spans/{id}"), FEDERATION_TIMEOUT)
                     .map_err(|e| e.to_string())?;
@@ -110,6 +98,24 @@ impl MemberSource {
             }
         }
     }
+}
+
+/// The spans of trace `id` in a local member's logs, plus each log's
+/// eviction horizon ([`linda_obs::SpanLog::evicted_newest_micros`]).
+pub(crate) fn local_spans(
+    rt: &Runtime,
+    id: linda_obs::TraceId,
+) -> (Vec<linda_obs::SpanRecord>, Vec<Option<u64>>) {
+    let mut spans = Vec::new();
+    let mut horizons = Vec::new();
+    // One span log per shard registry; per-shard local-id bases keep
+    // trace ids disjoint, so collecting from all lanes is safe.
+    for obs in rt.obs_all() {
+        let log = obs.spans();
+        spans.extend(log.spans_of(id));
+        horizons.push(log.evicted_newest_micros());
+    }
+    (spans, horizons)
 }
 
 /// Assemble the cluster-wide span tree of `id` from every live member.

@@ -49,9 +49,7 @@ pub use flight::{FlightRecorder, FlightSection};
 pub use runtime::{
     pattern_fields, rebuild_tuple, AgsHandle, CompletionOk, FtEvent, Runtime, RuntimeConfig,
 };
-pub use server::{
-    events_json_lines, http_get, ExporterSources, HttpExporter, RpcClient, TupleServer,
-};
+pub use server::{events_json_lines, http_get, HttpExporter, RpcClient, TupleServer};
 
 // Re-export the pieces users need to build AGSs and patterns.
 pub use consul_sim::{BatchConfig, CheckpointConfig, Heartbeat, HostId, NetConfig};

@@ -1077,13 +1077,16 @@ impl Runtime {
             .collect()
     }
 
-    /// One merged snapshot of every shard's registry on this host.
-    /// Counters and families sum; config/process-level gauges merge by
-    /// max so they are not multiplied by the shard count.
+    /// One merged snapshot of every shard's registry on this host, plus
+    /// each shard kernel's store census, read now under its kernel lock
+    /// ([`Kernel::census_into`]). Counters and families sum;
+    /// config/process-level gauges merge by max so they are not
+    /// multiplied by the shard count.
     pub fn metrics_snapshot(&self) -> linda_obs::RegistrySnapshot {
-        let mut snap = self.shared.lanes[0].member.obs().snapshot();
-        for lane in &self.shared.lanes[1..] {
+        let mut snap = linda_obs::RegistrySnapshot::default();
+        for lane in &self.shared.lanes {
             snap.merge(&lane.member.obs().snapshot());
+            lane.kernel.lock().census_into(&mut snap);
         }
         snap
     }
@@ -1091,9 +1094,6 @@ impl Runtime {
     /// Render this host's metrics (all shards merged) in Prometheus text
     /// exposition format.
     pub fn metrics_text(&self) -> String {
-        if self.shared.lanes.len() == 1 {
-            return self.shared.obs.render();
-        }
         self.metrics_snapshot().render()
     }
 

@@ -14,14 +14,14 @@
 //! sweep it).
 //!
 //! This module also hosts the cluster's **HTTP exporter**
-//! ([`HttpExporter`]): a std-only listener run per member that serves the
+//! ([`HttpExporter`]): a std-only listener run per member that frames the
 //! observability surface (`/metrics`, `/healthz`, `/events`,
-//! `/trace/<id>`) to scrapers and humans with `curl`.
+//! `/trace/<id>`, …) for scrapers and humans with `curl`; the cluster
+//! supplies the one router that maps each path to its body.
 
 use crate::error::FtError;
 use crate::runtime::Runtime;
 use ftlinda_ags::{Ags, AgsOutcome, TsId};
-use linda_obs::TraceId;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -161,49 +161,10 @@ impl RpcClient {
 // HTTP exporter
 // ---------------------------------------------------------------------------
 
-/// Content providers for one member's HTTP endpoints. Each closure is
-/// called per request, so responses always reflect live state. The trace
-/// provider receives the parsed id and returns the assembled span tree as
-/// JSON — for a cluster member it gathers spans from **every** replica's
-/// log, not just the serving member's.
-pub struct ExporterSources {
-    /// `/metrics`: Prometheus text exposition.
-    pub metrics: Arc<dyn Fn() -> String + Send + Sync>,
-    /// `/healthz`: one JSON object of member liveness/digest status.
-    pub health: Arc<dyn Fn() -> String + Send + Sync>,
-    /// `/events`: recent structured events, one JSON object per line.
-    pub events: Arc<dyn Fn() -> String + Send + Sync>,
-    /// `/trace/<id>`: the cross-replica span tree for one AGS, as JSON.
-    pub trace: Arc<dyn Fn(TraceId) -> String + Send + Sync>,
-    /// `/introspect`: per-space signature histogram, blocked-AGS table
-    /// and hot signatures as JSON; `None` renders 404 (no runtime for
-    /// this member in the serving process).
-    pub introspect: Arc<dyn Fn() -> Option<String> + Send + Sync>,
-    /// `/metrics/cluster`: Prometheus text merging the registries of the
-    /// cluster itself and every live member — one scrape target for the
-    /// whole group.
-    pub cluster_metrics: Arc<dyn Fn() -> String + Send + Sync>,
-    /// `/timeseries`: the bounded ring of periodic metric snapshots as
-    /// JSON.
-    pub timeseries: Arc<dyn Fn() -> String + Send + Sync>,
-    /// `/metrics/snapshot`: this process's merged registry snapshot in
-    /// the `ftlsnap` wire format ([`linda_obs::RegistrySnapshot::to_wire`]).
-    /// The federation *leaf*: it never fans out to peers, so fan-out
-    /// endpoints can fetch it without recursion.
-    pub snapshot: Arc<dyn Fn() -> String + Send + Sync>,
-    /// `/spans/<id>`: this process's local spans of one trace in the
-    /// `ftlspans` wire format ([`linda_obs::spans_wire`]) — the other
-    /// federation leaf, fetched by peers assembling a cluster trace.
-    pub spans: Arc<dyn Fn(TraceId) -> String + Send + Sync>,
-    /// `/cluster/trace/<id>`: the federated span tree — local spans
-    /// merged with every live peer's `/spans/<id>` — as JSON, with
-    /// unreachable members listed in `truncated_hosts`.
-    pub cluster_trace: Arc<dyn Fn(TraceId) -> String + Send + Sync>,
-}
-
 /// A tiny std-only HTTP/1.1 listener serving one member's observability
 /// surface. GET-only, `Connection: close`, loopback by default — it is a
-/// scrape endpoint, not a web server.
+/// scrape endpoint, not a web server. Its thread blocks in `accept`, so
+/// an exporter nobody scrapes costs no CPU.
 pub struct HttpExporter {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -212,29 +173,37 @@ pub struct HttpExporter {
 
 impl HttpExporter {
     /// Bind `127.0.0.1:port` (`port` 0 picks an ephemeral port — the
-    /// actual address is [`HttpExporter::addr`]) and serve `sources` on a
-    /// background thread until [`HttpExporter::stop`].
-    pub fn spawn(port: u16, sources: ExporterSources) -> std::io::Result<HttpExporter> {
+    /// actual address is [`HttpExporter::addr`]) and answer every GET
+    /// with `route(path)` — `(status, content type, body)`, computed per
+    /// request so responses reflect live state — on a background thread
+    /// until [`HttpExporter::stop`].
+    pub fn spawn(
+        port: u16,
+        route: impl Fn(&str) -> (u16, &'static str, String) + Send + 'static,
+    ) -> std::io::Result<HttpExporter> {
         // `bind_reuse` (SO_REUSEADDR): a relaunched node must rebind its
         // fixed scrape port while the dead incarnation's connections are
         // still in TIME_WAIT.
         let listener = consul_sim::bind_reuse(SocketAddr::from(([127, 0, 0, 1], port)))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let handle = std::thread::Builder::new()
             .name(format!("http-exporter-{}", addr.port()))
             .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Responses are small; serve on this thread.
-                            let _ = serve_connection(stream, &sources);
+                for stream in listener.incoming() {
+                    // `stop` sets the flag before the connect that wakes
+                    // this `accept`.
+                    if stop2.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    match stream {
+                        // Responses are small; serve on this thread.
+                        Ok(stream) => {
+                            let _ = serve_connection(stream, &route);
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                        // A failing accept (e.g. out of descriptors)
+                        // fails again at once: back off instead of spinning.
                         Err(_) => std::thread::sleep(Duration::from_millis(2)),
                     }
                 }
@@ -253,9 +222,14 @@ impl HttpExporter {
 
     /// Stop the listener thread and wait for it to exit.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
-            let _ = h.join();
+            // The thread blocks in `accept`; one loopback connect wakes it
+            // to see the flag. Should even that connect fail, leave the
+            // thread parked rather than hang in `join`.
+            if TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -266,8 +240,10 @@ impl Drop for HttpExporter {
     }
 }
 
-fn serve_connection(mut stream: TcpStream, sources: &ExporterSources) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
+fn serve_connection(
+    mut stream: TcpStream,
+    route: &impl Fn(&str) -> (u16, &'static str, String),
+) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     // Read until the end of the request head (or 4 KiB — paths we serve
     // are short, and we never read a body).
@@ -292,65 +268,8 @@ fn serve_connection(mut stream: TcpStream, sources: &ExporterSources) -> std::io
     if method != "GET" {
         return respond(&mut stream, 405, "text/plain", "method not allowed");
     }
-    match path {
-        "/metrics" => {
-            let body = (sources.metrics)();
-            respond(&mut stream, 200, "text/plain; version=0.0.4", &body)
-        }
-        "/metrics/cluster" => {
-            let body = (sources.cluster_metrics)();
-            respond(&mut stream, 200, "text/plain; version=0.0.4", &body)
-        }
-        "/metrics/snapshot" => {
-            let body = (sources.snapshot)();
-            respond(&mut stream, 200, "text/plain", &body)
-        }
-        "/introspect" => match (sources.introspect)() {
-            Some(body) => respond(&mut stream, 200, "application/json", &body),
-            None => respond(&mut stream, 404, "text/plain", "no runtime for this member"),
-        },
-        "/timeseries" => {
-            let body = (sources.timeseries)();
-            respond(&mut stream, 200, "application/json", &body)
-        }
-        "/healthz" => {
-            let body = (sources.health)();
-            respond(&mut stream, 200, "application/json", &body)
-        }
-        "/events" => {
-            let body = (sources.events)();
-            respond(&mut stream, 200, "application/x-ndjson", &body)
-        }
-        p if p.starts_with("/trace/") => match p["/trace/".len()..].parse::<TraceId>() {
-            Ok(id) => {
-                let body = (sources.trace)(id);
-                respond(&mut stream, 200, "application/json", &body)
-            }
-            Err(e) => respond(&mut stream, 400, "text/plain", &e.to_string()),
-        },
-        p if p.starts_with("/spans/") => match p["/spans/".len()..].parse::<TraceId>() {
-            Ok(id) => {
-                let body = (sources.spans)(id);
-                respond(&mut stream, 200, "text/plain", &body)
-            }
-            Err(e) => respond(&mut stream, 400, "text/plain", &e.to_string()),
-        },
-        p if p.starts_with("/cluster/trace/") => {
-            match p["/cluster/trace/".len()..].parse::<TraceId>() {
-                Ok(id) => {
-                    let body = (sources.cluster_trace)(id);
-                    respond(&mut stream, 200, "application/json", &body)
-                }
-                Err(e) => respond(&mut stream, 400, "text/plain", &e.to_string()),
-            }
-        }
-        _ => respond(
-            &mut stream,
-            404,
-            "text/plain",
-            "not found; try /metrics /metrics/cluster /metrics/snapshot /introspect /timeseries /healthz /events /trace/<origin>-<local> /spans/<id> /cluster/trace/<id>",
-        ),
-    }
+    let (status, content_type, body) = route(path);
+    respond(&mut stream, status, content_type, &body)
 }
 
 fn respond(

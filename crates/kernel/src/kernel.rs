@@ -241,56 +241,22 @@ struct KernelObs {
     /// Structured events (the starvation watchdog emits `ags_starving`
     /// here).
     events: Arc<linda_obs::EventSink>,
-    /// Whether the per-signature workload families below are kept
-    /// current (see [`Kernel::attach_obs_with`]).
-    deep: bool,
-    /// `ftlinda_ts_tuples{space,signature}` — current occupancy.
-    ts_tuples: Arc<linda_obs::GaugeFamily>,
-    /// `ftlinda_ts_tuples_high_water{space,signature}`.
-    ts_tuples_hw: Arc<linda_obs::GaugeFamily>,
-    /// `ftlinda_match_attempts_total{space}` / `_probes_total{space}` —
-    /// delta-fed from the stores' cumulative [`MatchStats`].
-    match_attempts: Arc<linda_obs::CounterFamily>,
-    match_probes: Arc<linda_obs::CounterFamily>,
-    /// `ftlinda_match_probe_efficiency_bp{space}` — basis points of
-    /// probes that matched (integer gauge, 0–10000). Integer percent
-    /// floored sub-1% workloads (the 100k-miss case) to 0,
-    /// indistinguishable from idle.
-    match_efficiency: Arc<linda_obs::GaugeFamily>,
-    /// `ftlinda_miss_cache_hits_total{space}` — attempts answered by the
-    /// antituple (miss) cache with zero probes.
-    miss_cache_hits: Arc<linda_obs::CounterFamily>,
-    /// `ftlinda_index_builds_total{space}` — lazy value-index promotions
-    /// performed by the store.
-    index_builds: Arc<linda_obs::CounterFamily>,
-    /// `ftlinda_index_demotions_total{space}` — value indexes dropped
-    /// because maintenance cost dwarfed the probes they saved.
-    index_demotions: Arc<linda_obs::CounterFamily>,
-    /// `ftlinda_value_indexes{space}` — promoted value indexes currently
-    /// live (beyond the eager first-field index).
-    value_indexes: Arc<linda_obs::GaugeFamily>,
     /// `ftlinda_blocked_retries_total{signature,outcome}` — every
     /// re-probe of a blocked guard: `wasted` (still blocked), `fired`,
     /// or `failed`. The `wasted` series counts guards a same-signature
     /// deposit woke that still could not fire.
     retries: Arc<linda_obs::CounterFamily>,
-    /// Last-seen per-space match stats, for delta-feeding the counters.
-    prev_match: HashMap<TsId, MatchStats>,
-    /// Last-seen per-space index-build totals, same delta scheme.
-    prev_builds: HashMap<TsId, u64>,
-    /// Last-seen per-space index-demotion totals, same delta scheme.
-    prev_demotions: HashMap<TsId, u64>,
     starving_total: Arc<linda_obs::Counter>,
     starving_now: Arc<linda_obs::Gauge>,
     /// `ftlinda_shard_tuples{shard}` — this kernel's stable-tuple total
     /// under its shard label: the per-shard load census. A level, like
     /// `ftlinda_stable_tuples`: summing across a shard's replicas
     /// multiplies by the replication factor.
-    shard_tuples: Arc<linda_obs::GaugeFamily>,
+    shard_tuples: Arc<linda_obs::Gauge>,
     /// `ftlinda_shard_ags_total{shard}` — AGS executions this shard's
     /// order stream applied (single-shard applies plus cross-shard
     /// `XExec` legs).
-    shard_ags: Arc<linda_obs::CounterFamily>,
+    shard_ags: Arc<linda_obs::Counter>,
     /// `ftlinda_xcommit_aborts_total{cause,shard}` — cross-shard commit
     /// attempts rolled back on this shard, by cause (`blocked_retry`,
     /// `body_failure`, `lock_expiry`). Counted on **every** replica, so
@@ -303,6 +269,28 @@ struct KernelObs {
     /// `ftlinda_xlock_held_seconds` — how long this shard stayed frozen
     /// per cross-shard hold (release or abort).
     xlock_held: Arc<linda_obs::Histogram>,
+}
+
+/// A stable space's cumulative store counters, as exported by
+/// [`Kernel::census_into`]. Observability only: never digested or
+/// checkpointed.
+#[derive(Debug, Default, Clone, Copy)]
+struct StoreTotals {
+    matches: MatchStats,
+    index_builds: u64,
+    index_demotions: u64,
+}
+
+impl StoreTotals {
+    /// These totals plus `store`'s own.
+    fn plus(self, store: &IndexedStore) -> StoreTotals {
+        let index = store.index_report();
+        StoreTotals {
+            matches: self.matches.plus(&store.match_stats()),
+            index_builds: self.index_builds + index.index_builds,
+            index_demotions: self.index_demotions + index.index_demotions,
+        }
+    }
 }
 
 /// One starvation-watchdog report: a blocked AGS crossed the threshold
@@ -402,6 +390,9 @@ pub struct Kernel {
     /// until the runtime hands it to the ordering layer for compaction.
     pending_checkpoint: Option<KernelCheckpoint>,
     obs: Option<KernelObs>,
+    /// Per space, the totals of the stores restores replaced, so the
+    /// exported counters never decrease.
+    replaced_totals: HashMap<TsId, StoreTotals>,
     /// This kernel's shard position; `(0, 1)` when unsharded.
     shard: ShardSpec,
     /// Live cross-shard hold, if this shard is currently frozen.
@@ -424,6 +415,7 @@ impl Kernel {
             applied: 0,
             pending_checkpoint: None,
             obs: None,
+            replaced_totals: HashMap::new(),
             shard: ShardSpec::default(),
             hold: None,
         }
@@ -445,17 +437,21 @@ impl Kernel {
     /// Attach an observability registry: each applied record is timed
     /// into `ftlinda_ags_execute_seconds`, and the blocked-queue depth,
     /// total stable-space size, and applied sequence gauges are kept
-    /// current after every apply. Per-signature workload families
-    /// (`ftlinda_ts_tuples{space,signature}`, match-probe accounting,
-    /// retry counters) are flushed too; see [`Kernel::attach_obs_with`]
-    /// to opt out of those.
+    /// current after every apply. The per-signature store census is not
+    /// published here: a scrape reads it through
+    /// [`Kernel::census_into`]. Call after [`Kernel::set_shard`], since
+    /// the `{shard}` children are resolved here.
     pub fn attach_obs(&mut self, reg: &linda_obs::Registry) {
         self.attach_obs_with(reg, true);
     }
 
-    /// [`Kernel::attach_obs`] with explicit control over the `deep`
-    /// per-signature families (`false` = scalar gauges and spans only).
-    pub fn attach_obs_with(&mut self, reg: &linda_obs::Registry, deep: bool) {
+    /// [`Kernel::attach_obs`]. The `deep` flag once chose whether the
+    /// per-signature census was flushed after every apply; that census
+    /// is now read when scraped ([`Kernel::census_into`]), so the flag
+    /// changes nothing. It stays for the benchmark's replay, which
+    /// passes `true`.
+    pub fn attach_obs_with(&mut self, reg: &linda_obs::Registry, _deep: bool) {
+        let shard = self.shard.index.to_string();
         self.obs = Some(KernelObs {
             exec_hist: reg.histogram(
                 "ftlinda_ags_execute_seconds",
@@ -491,50 +487,10 @@ impl Kernel {
                 "Sequence number of the last kernel checkpoint",
             ),
             events: reg.events_handle(),
-            deep,
-            ts_tuples: reg.gauge_family(
-                "ftlinda_ts_tuples",
-                "Tuples currently stored, by stable space and signature",
-            ),
-            ts_tuples_hw: reg.gauge_family(
-                "ftlinda_ts_tuples_high_water",
-                "Most tuples ever stored at once, by stable space and signature",
-            ),
-            match_attempts: reg.counter_family(
-                "ftlinda_match_attempts_total",
-                "in/rd-shaped match operations attempted, by stable space",
-            ),
-            match_probes: reg.counter_family(
-                "ftlinda_match_probes_total",
-                "Tuples examined by match operations, by stable space",
-            ),
-            match_efficiency: reg.gauge_family(
-                "ftlinda_match_probe_efficiency_bp",
-                "Basis points of match probes that hit (0-10000), by stable space",
-            ),
-            miss_cache_hits: reg.counter_family(
-                "ftlinda_miss_cache_hits_total",
-                "Match attempts answered by the miss cache with zero probes, by stable space",
-            ),
-            index_builds: reg.counter_family(
-                "ftlinda_index_builds_total",
-                "Lazy value-index promotions performed, by stable space",
-            ),
-            index_demotions: reg.counter_family(
-                "ftlinda_index_demotions_total",
-                "Value indexes demoted for excess maintenance cost, by stable space",
-            ),
-            value_indexes: reg.gauge_family(
-                "ftlinda_value_indexes",
-                "Promoted value indexes currently live (beyond the head index), by stable space",
-            ),
             retries: reg.counter_family(
                 "ftlinda_blocked_retries_total",
                 "Blocked-guard re-probes by guard signature and outcome (wasted/fired/failed)",
             ),
-            prev_match: HashMap::new(),
-            prev_builds: HashMap::new(),
-            prev_demotions: HashMap::new(),
             starving_total: reg.counter(
                 "ftlinda_ags_starving_total",
                 "ags_starving events emitted by the starvation watchdog",
@@ -543,14 +499,18 @@ impl Kernel {
                 "ftlinda_ags_starving",
                 "Blocked AGSs currently past the starvation threshold",
             ),
-            shard_tuples: reg.gauge_family(
-                "ftlinda_shard_tuples",
-                "Tuples stored at this replica, by owning shard",
-            ),
-            shard_ags: reg.counter_family(
-                "ftlinda_shard_ags_total",
-                "AGS executions applied, by shard order stream",
-            ),
+            shard_tuples: reg
+                .gauge_family(
+                    "ftlinda_shard_tuples",
+                    "Tuples stored at this replica, by owning shard",
+                )
+                .with(&[("shard", &shard)]),
+            shard_ags: reg
+                .counter_family(
+                    "ftlinda_shard_ags_total",
+                    "AGS executions applied, by shard order stream",
+                )
+                .with(&[("shard", &shard)]),
             xcommit_aborts: reg.counter_family(
                 "ftlinda_xcommit_aborts_total",
                 "Cross-shard commit attempts rolled back, by cause and shard",
@@ -627,9 +587,7 @@ impl Kernel {
     /// Count one AGS execution against this shard's order stream.
     fn count_shard_ags(&self) {
         if let Some(obs) = &self.obs {
-            obs.shard_ags
-                .with(&[("shard", &self.shard.index.to_string())])
-                .inc();
+            obs.shard_ags.inc();
         }
     }
 
@@ -661,79 +619,109 @@ impl Kernel {
         self.flush_gauges();
     }
 
-    fn flush_gauges(&mut self) {
-        let Some(obs) = &mut self.obs else { return };
+    fn flush_gauges(&self) {
+        let Some(obs) = &self.obs else { return };
         obs.blocked_depth.set(self.blocked.len() as i64);
         let stable_total = self.stables.values().map(Store::len).sum::<usize>() as i64;
         obs.stable_size.set(stable_total);
         // The per-shard census child: this kernel's whole stable-tuple
         // total under its shard label (every bucket a shard's stores
         // hold is a bucket it owns).
-        obs.shard_tuples
-            .with(&[("shard", &self.shard.index.to_string())])
-            .set(stable_total);
+        obs.shard_tuples.set(stable_total);
         obs.applied_seq.set(self.applied as i64);
-        if !obs.deep {
-            return;
-        }
-        // Occupancy gauges are re-stated from scratch each flush (zeroing
-        // first), so label sets that vanished — e.g. after a checkpoint
-        // restore rebuilt the stores — read 0 rather than going stale.
-        obs.ts_tuples.zero_all();
-        obs.ts_tuples_hw.zero_all();
+    }
+
+    /// Add this kernel's store census to `snap`, read from the stores
+    /// now: per space, the match counters
+    /// (`ftlinda_match_{attempts,probes}_total`,
+    /// `ftlinda_miss_cache_hits_total`), the probe efficiency in basis
+    /// points, the value-index counters and level, and per signature the
+    /// occupancy and its high-water mark. Children add to what `snap`
+    /// already holds, as a merge would, so every shard's kernel can feed
+    /// one snapshot. Counters include the totals of stores a restore
+    /// replaced, so they never decrease; a signature the restored stores
+    /// do not hold is absent rather than 0.
+    pub fn census_into(&self, snap: &mut linda_obs::RegistrySnapshot) {
+        let mut spaces = Vec::with_capacity(self.stables.len());
+        let mut occupancy = Vec::new();
         for (id, store) in &self.stables {
-            let space = self
-                .names
-                .iter()
-                .find(|(_, v)| **v == *id)
-                .map(|(n, _)| n.clone())
-                .unwrap_or_else(|| format!("ts{}", id.0));
-            let stats = store.match_stats();
-            let prev = obs.prev_match.entry(*id).or_default();
-            let delta = stats.since(prev);
-            *prev = stats;
-            if delta.attempts > 0 {
-                obs.match_attempts
-                    .with(&[("space", &space)])
-                    .add(delta.attempts);
-                obs.match_probes
-                    .with(&[("space", &space)])
-                    .add(delta.probes);
-                obs.miss_cache_hits
-                    .with(&[("space", &space)])
-                    .add(delta.cache_hits);
-            }
-            obs.match_efficiency
-                .with(&[("space", &space)])
-                .set(stats.efficiency_bp());
-            let report = store.index_report();
-            let prev_builds = obs.prev_builds.entry(*id).or_default();
-            let build_delta = report.index_builds.saturating_sub(*prev_builds);
-            *prev_builds = report.index_builds;
-            if build_delta > 0 {
-                obs.index_builds.with(&[("space", &space)]).add(build_delta);
-            }
-            let prev_demotions = obs.prev_demotions.entry(*id).or_default();
-            let demote_delta = report.index_demotions.saturating_sub(*prev_demotions);
-            *prev_demotions = report.index_demotions;
-            if demote_delta > 0 {
-                obs.index_demotions
-                    .with(&[("space", &space)])
-                    .add(demote_delta);
-            }
-            obs.value_indexes
-                .with(&[("space", &space)])
-                .set(report.value_indexes as i64);
+            let space = self.space_label(*id);
             for occ in store.signature_census() {
                 let sig = occ.signature.to_string();
-                obs.ts_tuples
-                    .with(&[("space", &space), ("signature", &sig)])
-                    .set(occ.count as i64);
-                obs.ts_tuples_hw
-                    .with(&[("space", &space), ("signature", &sig)])
-                    .set(occ.high_water as i64);
+                let labels = linda_obs::render_labels(&[("space", &space), ("signature", &sig)]);
+                occupancy.push((labels, occ.count as i64, occ.high_water as i64));
             }
+            let totals = self
+                .replaced_totals
+                .get(id)
+                .copied()
+                .unwrap_or_default()
+                .plus(store);
+            let labels = linda_obs::render_labels(&[("space", &space)]);
+            spaces.push((labels, totals, store));
         }
+        // A counter child appears once its space has counted something.
+        let counted = |value: fn(&StoreTotals) -> u64, shown: fn(&StoreTotals) -> bool| {
+            spaces
+                .iter()
+                .filter(move |(_, t, _)| shown(t))
+                .map(move |(labels, t, _)| (labels.clone(), value(t)))
+        };
+        let attempted = |t: &StoreTotals| t.matches.attempts > 0;
+        snap.add_counter_family(
+            "ftlinda_match_attempts_total",
+            "in/rd-shaped match operations attempted, by stable space",
+            counted(|t| t.matches.attempts, attempted),
+        );
+        snap.add_counter_family(
+            "ftlinda_match_probes_total",
+            "Tuples examined by match operations, by stable space",
+            counted(|t| t.matches.probes, attempted),
+        );
+        snap.add_counter_family(
+            "ftlinda_miss_cache_hits_total",
+            "Match attempts answered by the miss cache with zero probes, by stable space",
+            counted(|t| t.matches.cache_hits, attempted),
+        );
+        snap.add_counter_family(
+            "ftlinda_index_builds_total",
+            "Lazy value-index promotions performed, by stable space",
+            counted(|t| t.index_builds, |t| t.index_builds > 0),
+        );
+        snap.add_counter_family(
+            "ftlinda_index_demotions_total",
+            "Value indexes demoted for excess maintenance cost, by stable space",
+            counted(|t| t.index_demotions, |t| t.index_demotions > 0),
+        );
+        // Efficiency (integer basis points: percent floored the 100k-miss
+        // case to 0, indistinguishable from idle) and live value indexes
+        // describe the current stores only.
+        snap.add_gauge_family(
+            "ftlinda_match_probe_efficiency_bp",
+            "Basis points of match probes that hit (0-10000), by stable space",
+            spaces
+                .iter()
+                .map(|(labels, _, s)| (labels.clone(), s.match_stats().efficiency_bp())),
+        );
+        snap.add_gauge_family(
+            "ftlinda_value_indexes",
+            "Promoted value indexes currently live (beyond the head index), by stable space",
+            spaces
+                .iter()
+                .map(|(labels, _, s)| (labels.clone(), s.index_report().value_indexes as i64)),
+        );
+        snap.add_gauge_family(
+            "ftlinda_ts_tuples",
+            "Tuples currently stored, by stable space and signature",
+            occupancy.iter().map(|(labels, n, _)| (labels.clone(), *n)),
+        );
+        snap.add_gauge_family(
+            "ftlinda_ts_tuples_high_water",
+            "Most tuples ever stored at once, by stable space and signature",
+            occupancy
+                .iter()
+                .map(|(labels, _, hw)| (labels.clone(), *hw)),
+        );
     }
 
     fn apply_inner(&mut self, d: &Delivery) {
@@ -1288,11 +1276,9 @@ impl Kernel {
     /// `ftlinda_blocked_retries_total{signature,outcome}`.
     fn count_retry(&self, labels: &str, outcome: &str) {
         if let Some(obs) = &self.obs {
-            if obs.deep {
-                obs.retries
-                    .with(&[("signature", labels), ("outcome", outcome)])
-                    .inc();
-            }
+            obs.retries
+                .with(&[("signature", labels), ("outcome", outcome)])
+                .inc();
         }
     }
 
@@ -1741,6 +1727,12 @@ impl Kernel {
                 actual,
             });
         }
+        // The fresh stores count from zero; carry the outgoing totals so
+        // the exported counters stay monotone.
+        for (id, store) in &self.stables {
+            let carried = self.replaced_totals.entry(*id).or_default();
+            *carried = carried.plus(store);
+        }
         self.stables = stables;
         self.blocked = blocked;
         self.guard_index = guard_index;
@@ -1753,14 +1745,6 @@ impl Kernel {
         // predates the freeze (checkpoint boundaries are dropped while
         // frozen) and replaying the log from it re-applies the lock.
         self.hold = None;
-        if let Some(obs) = &mut self.obs {
-            // The rebuilt stores start their match counters and index
-            // builds at zero; forget the old totals so the next delta is
-            // not negative.
-            obs.prev_match.clear();
-            obs.prev_builds.clear();
-            obs.prev_demotions.clear();
-        }
         Ok(())
     }
 
@@ -2105,6 +2089,75 @@ mod tests {
         assert_eq!(sp.match_stats, MatchStats::default());
         assert_eq!(k2.digest(), k.digest(), "replicated state identical");
         assert_eq!(k2.blocked_len(), 1);
+    }
+
+    #[test]
+    fn scraped_census_counters_survive_in_place_restore() {
+        let (mut k, _rx) = kernel();
+        let mut seq = 0;
+        let mut apply = |k: &mut Kernel, req: Request| {
+            seq += 1;
+            k.apply(&app(seq, 0, seq, &req));
+        };
+        apply(&mut k, Request::CreateTs { name: "m".into() });
+        for i in 0..40i64 {
+            let row = vec![Operand::cst("row"), Operand::cst(i), Operand::cst(i * 10)];
+            apply(&mut k, Request::Ags(Ags::out_one(TsId(0), row)));
+        }
+        // Withdrawing a late row probes past the promotion threshold in a
+        // 40-tuple bucket, which builds a value index.
+        let take = |i: i64| {
+            Ags::in_one(
+                TsId(0),
+                vec![MF::actual("row"), MF::actual(i), MF::bind(Int)],
+            )
+            .unwrap()
+        };
+        apply(&mut k, Request::Ags(take(39)));
+        let scrape = |k: &Kernel| {
+            let mut snap = linda_obs::RegistrySnapshot::default();
+            k.census_into(&mut snap);
+            snap
+        };
+        let counter = |snap: &linda_obs::RegistrySnapshot, name: &str| {
+            snap.counter_family(name)
+                .and_then(|children| children.get("space=\"m\"").copied())
+                .unwrap_or(0)
+        };
+        let before = scrape(&k);
+        let attempts = counter(&before, "ftlinda_match_attempts_total");
+        let builds = counter(&before, "ftlinda_index_builds_total");
+        assert!(
+            attempts >= 1 && builds >= 1,
+            "{attempts} attempts, {builds} builds"
+        );
+
+        // A laggard's in-place restore swaps in fresh stores that count
+        // from zero; the scraped counters must not go backwards.
+        let image = k.checkpoint();
+        k.apply(&Delivery::Restore { image });
+        assert_eq!(k.introspect().spaces[0].match_stats, MatchStats::default());
+        let restored = scrape(&k);
+        assert_eq!(counter(&restored, "ftlinda_match_attempts_total"), attempts);
+        assert_eq!(counter(&restored, "ftlinda_index_builds_total"), builds);
+        apply(&mut k, Request::Ags(take(38)));
+        let after = scrape(&k);
+        assert!(counter(&after, "ftlinda_match_attempts_total") > attempts);
+        assert!(counter(&after, "ftlinda_index_builds_total") >= builds);
+
+        // Occupancy is read from the restored stores: an exact recount.
+        let tuples = k.snapshot(TsId(0)).expect("space exists");
+        let occupancy = after.gauge_family("ftlinda_ts_tuples").expect("declared");
+        let mut recount: BTreeMap<String, i64> = BTreeMap::new();
+        for t in &tuples {
+            let labels = linda_obs::render_labels(&[
+                ("space", "m"),
+                ("signature", &t.signature().to_string()),
+            ]);
+            *recount.entry(labels).or_default() += 1;
+        }
+        assert_eq!(occupancy, &recount);
+        assert_eq!(recount.values().sum::<i64>(), 38);
     }
 
     #[test]

@@ -136,11 +136,11 @@ proptest! {
         steps in arb_steps(),
         split_raw in 0usize..4096,
     ) {
-        // The per-signature occupancy census (and the gauge family fed
-        // from it) is observability-only state, rebuilt rather than
-        // checkpointed — after any random workload, and again after a
-        // checkpoint/restore plus tail replay, it must equal an exact
-        // recount of the store contents.
+        // The per-signature occupancy census (and the gauge family a
+        // scrape reads from it) is observability-only state, rebuilt
+        // rather than checkpointed — after any random workload, and again
+        // after a checkpoint/restore plus tail replay, it must equal an
+        // exact recount of the store contents.
         let ds = deliveries(&steps);
         let split = split_raw % (ds.len() + 1);
 
@@ -153,10 +153,11 @@ proptest! {
         k.apply_all(&ds[split..]);
 
         let report = k.introspect();
-        let gauges = reg.snapshot();
-        let occupancy = gauges
+        let mut scraped = linda_obs::RegistrySnapshot::default();
+        k.census_into(&mut scraped);
+        let occupancy = scraped
             .gauge_family("ftlinda_ts_tuples")
-            .expect("occupancy family registered");
+            .expect("occupancy family declared");
         for space in &report.spaces {
             let tuples = k.snapshot(space.id).expect("space exists");
             prop_assert_eq!(space.tuples, tuples.len());

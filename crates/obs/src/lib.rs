@@ -188,15 +188,6 @@ impl GaugeFamily {
             .clone()
     }
 
-    /// Set every child to 0. Used before re-flushing a census so label
-    /// sets that disappeared (e.g. a store rebuilt from a checkpoint)
-    /// read 0 instead of a stale level.
-    pub fn zero_all(&self) {
-        for g in self.lock().values() {
-            g.set(0);
-        }
-    }
-
     /// `(rendered-labels, level)` for every child, sorted by label text.
     pub fn snapshot(&self) -> BTreeMap<String, i64> {
         self.lock()
@@ -933,22 +924,10 @@ impl RegistrySnapshot {
             }
         }
         for (name, (help, children)) in &other.counter_families {
-            let e = self
-                .counter_families
-                .entry(name.clone())
-                .or_insert_with(|| (help.clone(), BTreeMap::new()));
-            for (labels, v) in children {
-                *e.1.entry(labels.clone()).or_insert(0) += v;
-            }
+            self.add_counter_family(name, help, children.iter().map(|(l, v)| (l.clone(), *v)));
         }
         for (name, (help, children)) in &other.gauge_families {
-            let e = self
-                .gauge_families
-                .entry(name.clone())
-                .or_insert_with(|| (help.clone(), BTreeMap::new()));
-            for (labels, v) in children {
-                *e.1.entry(labels.clone()).or_insert(0) += v;
-            }
+            self.add_gauge_family(name, help, children.iter().map(|(l, v)| (l.clone(), *v)));
         }
         for (name, (help, children)) in &other.histogram_families {
             let e = self
@@ -967,6 +946,41 @@ impl RegistrySnapshot {
                     }
                 }
             }
+        }
+    }
+
+    /// Add `children` (rendered label string, value) to counter family
+    /// `name`, declaring it with `help` if absent — for values read from
+    /// their owner when scraped instead of kept in a [`Registry`].
+    /// Children sum, as in [`Self::merge`].
+    pub fn add_counter_family(
+        &mut self,
+        name: &str,
+        help: &str,
+        children: impl IntoIterator<Item = (String, u64)>,
+    ) {
+        let family = self
+            .counter_families
+            .entry(name.to_string())
+            .or_insert_with(|| (help.to_string(), BTreeMap::new()));
+        for (labels, v) in children {
+            *family.1.entry(labels).or_insert(0) += v;
+        }
+    }
+
+    /// [`Self::add_counter_family`] for a gauge family.
+    pub fn add_gauge_family(
+        &mut self,
+        name: &str,
+        help: &str,
+        children: impl IntoIterator<Item = (String, i64)>,
+    ) {
+        let family = self
+            .gauge_families
+            .entry(name.to_string())
+            .or_insert_with(|| (help.to_string(), BTreeMap::new()));
+        for (labels, v) in children {
+            *family.1.entry(labels).or_insert(0) += v;
         }
     }
 
@@ -1510,8 +1524,6 @@ mod tests {
         assert!(text.contains("ops_total{kind=\"in\",space=\"0\"} 4"));
         assert!(text.contains("ops_total{kind=\"out\",space=\"0\"} 1"));
         assert!(text.contains("depth{signature=\"<str,int>\"} 7"));
-        g.zero_all();
-        assert!(r.render().contains("depth{signature=\"<str,int>\"} 0"));
     }
 
     #[test]

@@ -152,8 +152,9 @@ impl MatchStats {
         }
     }
 
-    /// Component-wise sum (merging phases of an [`AdaptiveStore`]).
-    fn plus(&self, other: &MatchStats) -> MatchStats {
+    /// Component-wise sum (merging phases of an [`AdaptiveStore`], or a
+    /// store's totals with those of the stores it replaced).
+    pub fn plus(&self, other: &MatchStats) -> MatchStats {
         MatchStats {
             attempts: self.attempts + other.attempts,
             probes: self.probes + other.probes,

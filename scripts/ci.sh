@@ -16,6 +16,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples (each must finish within 60 s)"
+# Runs every example but obs_http_smoke (obs_smoke.sh drives that one);
+# six of them assert their own results.
+cargo build --release --examples
+for ex in bag_of_tasks barrier_failures distributed_variable divide_conquer \
+          lcc_compile linda_run observability quickstart; do
+    echo "--> example $ex"
+    timeout 60 "./target/release/examples/$ex"
+done
+
 echo "==> cargo test"
 cargo test -q --workspace
 

@@ -272,6 +272,17 @@ fn run_xtrace(rt: &Runtime, ts: ftlinda::TsId, shards: u32, run_secs: Option<u64
     }
 }
 
+/// Whether `n` samples support percentile `q`: at least ten samples
+/// beyond it, and below forty samples the median alone (any higher
+/// percentile would be no tail). Unsupported ones print `null`.
+fn supported(n: u64, q: f64) -> bool {
+    if q <= 0.5 {
+        n > 0
+    } else {
+        n >= 40 && n as f64 * (1.0 - q) >= 10.0 - 1e-9
+    }
+}
+
 /// `--role ping`: drive `count` round trips and write the latency
 /// profile as a small JSON object.
 fn run_ping(rt: &Runtime, ts: ftlinda::TsId, count: u64, out: &str, hosts: usize, shards: u32) {
@@ -313,7 +324,14 @@ fn run_ping(rt: &Runtime, ts: ftlinda::TsId, count: u64, out: &str, hosts: usize
     }
     let elapsed = bench0.elapsed();
     rtt_us.sort_unstable();
-    let pct = |p: f64| rtt_us[((rtt_us.len() - 1) as f64 * p) as usize];
+    let n = rtt_us.len() as u64;
+    let pct = |p: f64| {
+        if supported(n, p) {
+            rtt_us[((rtt_us.len() - 1) as f64 * p) as usize].to_string()
+        } else {
+            "null".to_string()
+        }
+    };
     let mean = rtt_us.iter().sum::<u64>() as f64 / rtt_us.len() as f64;
     // Wire-level RTT, measured by the heartbeat timestamp piggyback
     // (`ftlinda_net_rtt_seconds`, one histogram child per peer, merged
@@ -322,22 +340,22 @@ fn run_ping(rt: &Runtime, ts: ftlinda::TsId, count: u64, out: &str, hosts: usize
     let wire = rt
         .metrics_snapshot()
         .histogram_family_merged("ftlinda_net_rtt_seconds");
-    let wire_us = |q: f64| -> f64 {
-        wire.as_ref()
-            .and_then(|h| h.quantile(q))
-            .map_or(0.0, |s| s * 1e6)
+    let wire_n = wire.as_ref().map_or(0, |h| h.count());
+    let wire_us = |q: f64| match wire.as_ref().and_then(|h| h.quantile(q)) {
+        Some(s) if supported(wire_n, q) => format!("{:.1}", s * 1e6),
+        _ => "null".to_string(),
     };
     let json = format!(
         "{{\"bench\":\"tcp_pingpong\",\"transport\":\"tcp\",\"hosts\":{hosts},\
          \"shards\":{shards},\"count\":{count},\"elapsed_secs\":{:.6},\
          \"ops_per_sec\":{:.1},\"rtt_mean_us\":{mean:.1},\"rtt_p50_us\":{},\
-         \"rtt_p99_us\":{},\"wire_rtt_samples\":{},\"wire_rtt_p50_us\":{:.1},\
-         \"wire_rtt_p95_us\":{:.1},\"wire_rtt_p99_us\":{:.1}}}\n",
+         \"rtt_p95_us\":{},\"rtt_p99_us\":{},\"wire_rtt_samples\":{wire_n},\
+         \"wire_rtt_p50_us\":{},\"wire_rtt_p95_us\":{},\"wire_rtt_p99_us\":{}}}\n",
         elapsed.as_secs_f64(),
         count as f64 / elapsed.as_secs_f64(),
         pct(0.50),
+        pct(0.95),
         pct(0.99),
-        wire.as_ref().map_or(0, |h| h.count()),
         wire_us(0.50),
         wire_us(0.95),
         wire_us(0.99),
