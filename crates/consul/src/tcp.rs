@@ -30,11 +30,13 @@ use crate::wire::{decode_seq_msg, encode_seq_msg, MAX_FRAME_BYTES};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use linda_obs::{Counter, Event, EventSink, Gauge, Histogram, Registry};
 use linda_tuple::{get_uvarint, put_uvarint};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// `TcpListener::bind` with `SO_REUSEADDR`, which std never sets: a
@@ -178,6 +180,11 @@ struct MeshInner {
     decode_hist: Arc<Histogram>,
     events: Arc<EventSink>,
     stop: AtomicBool,
+    /// The bound listener address, which [`TcpMesh::shutdown`] connects
+    /// to once to wake the accept thread.
+    listen: SocketAddr,
+    /// The `tcp-accept` thread, joined by [`TcpMesh::shutdown`].
+    accept: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl MeshInner {
@@ -259,7 +266,7 @@ impl TcpMesh {
                 io::Error::new(io::ErrorKind::InvalidInput, "own id missing from peer list")
             })?;
         let listener = bind_reuse(listen)?;
-        listener.set_nonblocking(true)?;
+        let listen = listener.local_addr()?;
 
         let sent = obs.counter_family("ftlinda_net_sent_bytes_total", "Bytes written per TCP link");
         let recv = obs.counter_family("ftlinda_net_recv_bytes_total", "Bytes read per TCP link");
@@ -328,6 +335,8 @@ impl TcpMesh {
             decode_hist,
             events,
             stop: AtomicBool::new(false),
+            listen,
+            accept: Mutex::new(None),
         });
 
         for (peer, addr, rx) in writers {
@@ -336,12 +345,13 @@ impl TcpMesh {
                 .name(format!("tcp-writer-{}", peer.0))
                 .spawn(move || writer_loop(&inner, peer, addr, &rx))?;
         }
-        {
+        let accept = {
             let inner = inner.clone();
             std::thread::Builder::new()
                 .name("tcp-accept".into())
-                .spawn(move || accept_loop(&inner, &listener))?;
-        }
+                .spawn(move || accept_loop(&inner, &listener))?
+        };
+        *inner.accept.lock() = Some(accept);
         Ok((
             TcpMesh {
                 inner: inner.clone(),
@@ -358,9 +368,23 @@ impl TcpMesh {
         }
     }
 
-    /// Stop all mesh threads and drop every link.
+    /// Stop all mesh threads and drop every link. Returns once the
+    /// accept thread has exited and closed the listener, so the address
+    /// can be bound again at once.
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::Relaxed);
+        self.inner.stop.store(true, Ordering::SeqCst);
+        if let Some(h) = self.inner.accept.lock().take() {
+            // The thread blocks in `accept`; one loopback connect wakes it
+            // to see the flag. Should even that connect fail, leave the
+            // thread parked rather than hang in `join`.
+            let mut wake = self.inner.listen;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(Ipv4Addr::LOCALHOST.into());
+            }
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = h.join();
+            }
+        }
     }
 
     /// This process plus every peer with a currently-established
@@ -530,10 +554,16 @@ fn writer_loop(
     }
 }
 
+/// Blocks in `accept`, so an idle mesh's listener costs no wake-ups;
+/// [`TcpMesh::shutdown`] sets the stop flag before the connect that
+/// wakes it.
 fn accept_loop(inner: &Arc<MeshInner>, listener: &TcpListener) {
-    while !inner.stopped() {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match stream {
+            Ok(stream) => {
                 let inner = inner.clone();
                 let r = std::thread::Builder::new()
                     .name("tcp-reader".into())
@@ -542,9 +572,8 @@ fn accept_loop(inner: &Arc<MeshInner>, listener: &TcpListener) {
                 // the connection and keep serving (degrade, don't abort).
                 drop(r);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            // A failing accept (e.g. out of descriptors) fails again at
+            // once: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(100)),
         }
     }

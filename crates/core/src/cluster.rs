@@ -5,14 +5,14 @@
 //! restarting hosts goes through the cluster, mirroring how the paper's
 //! evaluation kills workstations under a running application.
 //!
-//! The cluster also runs a *digest-divergence detector*: a background
-//! thread that periodically cross-checks [`Runtime::applied_digest`]
-//! across live hosts. Replica application is deterministic, so two hosts
-//! at the same applied sequence number must have identical digests; a
-//! mismatch means replica state has diverged (a bug, or deliberate fault
-//! injection in tests) and is surfaced as a `digest_divergence` event
-//! plus a `ftlinda_digest_divergence_total` counter on
-//! [`Cluster::obs`].
+//! A cluster that holds two or more runtimes in its process also runs a
+//! *digest-divergence detector*: a background thread that periodically
+//! cross-checks [`Runtime::applied_digest`] across live hosts. Replica
+//! application is deterministic, so two hosts at the same applied
+//! sequence number must have identical digests; a mismatch means replica
+//! state has diverged (a bug, or deliberate fault injection in tests) and
+//! is surfaced as a `digest_divergence` event plus a
+//! `ftlinda_digest_divergence_total` counter on [`Cluster::obs`].
 //!
 //! Unless disabled, the cluster also runs one [`HttpExporter`] per member
 //! serving `/metrics`, `/healthz`, `/events` and `/trace/<id>` (see
@@ -154,7 +154,10 @@ impl ClusterBuilder {
     }
 
     /// How often the divergence detector cross-checks replica digests
-    /// (default 10 ms; the flight recorder polls at the same period).
+    /// (default 10 ms; the flight recorder polls at the same period). A
+    /// tick reads each replica's running digest in O(signatures +
+    /// blocked AGSs). A process holding fewer than two runtimes — every
+    /// [`Transport::Tcp`] process — runs no detector.
     pub fn divergence_period(mut self, p: Duration) -> Self {
         self.divergence_period = p;
         self
@@ -316,7 +319,7 @@ impl ClusterBuilder {
         // The divergence detector and trace/metrics aggregation only see
         // the runtimes in this process (all of them under Sim, just ours
         // under TCP).
-        cluster.spawn_detector(self.divergence_period);
+        cluster.spawn_detector(self.divergence_period, runtimes.len());
         cluster.spawn_sampler(self.timeseries_interval);
         if self.http {
             cluster.spawn_exporters(self.http_base_port);
@@ -473,7 +476,11 @@ impl Cluster {
         Cluster::builder().hosts(n).build()
     }
 
-    fn spawn_detector(&self, period: Duration) {
+    /// Start the divergence detector over the `runtimes` held in this
+    /// process. With fewer than two (every TCP process) no two samples
+    /// can ever share a seq, so no thread starts; the counter is still
+    /// registered, so every metrics page carries the family.
+    fn spawn_detector(&self, period: Duration, runtimes: usize) {
         let view = self.view.clone();
         let stop = self.stop_rx.clone();
         let shards = self.groups.len();
@@ -481,6 +488,9 @@ impl Cluster {
             "ftlinda_digest_divergence_total",
             "Replica digest mismatches observed at equal applied sequence",
         );
+        if runtimes < 2 {
+            return;
+        }
         let handle = std::thread::Builder::new()
             .name("ftlinda-divergence".into())
             .spawn(move || {

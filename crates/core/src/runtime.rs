@@ -866,10 +866,12 @@ impl Runtime {
     }
 
     /// Order-canonical digest of one stable space across all shards:
-    /// XOR of each lane's per-signature-bucket digest. Two deployments
-    /// with different shard counts that executed equivalent histories
-    /// agree on this value even though tuples of different signatures
-    /// interleave differently in their stores.
+    /// XOR of each lane's per-signature-bucket digest, read from the
+    /// running values the stores maintain (O(signatures) per lane, no
+    /// tuple hashed). Two deployments with different shard counts that
+    /// executed equivalent histories agree on this value even though
+    /// tuples of different signatures interleave differently in their
+    /// stores and each numbers its inserts on its own.
     pub fn canonical_space_digest(&self, ts: TsId) -> u64 {
         self.shared.lanes.iter().fold(0, |acc, lane| {
             acc ^ lane.kernel.lock().canonical_space_digest(ts)

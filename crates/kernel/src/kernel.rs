@@ -1599,17 +1599,22 @@ impl Kernel {
 
     /// A deterministic digest of all stable-space contents and the
     /// blocked queue — equal digests ⇒ converged replicas. Used heavily
-    /// by the replica-consistency tests.
+    /// by the replica-consistency tests and read every tick by the
+    /// divergence detector: each space contributes its stores' running
+    /// value ([`IndexedStore::digest`], O(signatures)), and the blocked
+    /// queue is walked (O(blocked AGSs)). No tuple is hashed.
     pub fn digest(&self) -> u64 {
         Self::digest_of(&self.stables, &self.blocked)
     }
 
-    /// Digest of one stable space ([`IndexedStore::digest`]). It ignores
-    /// the interleaving of insertions across signatures, which cross-shard
-    /// checkout/reinstall permutes, so the XOR over all shards of a
-    /// sharded deployment equals the unsharded kernel's value — the
-    /// equivalence the sharded-vs-unsharded proptests check. An absent
-    /// or empty space digests to 0.
+    /// Digest of one stable space ([`IndexedStore::digest`], read from
+    /// the per-signature running values). It ignores the interleaving of
+    /// insertions across signatures, which cross-shard checkout/reinstall
+    /// permutes, and the stores' internal sequence numbers, which each
+    /// shard and each restore number on its own, so the XOR over all
+    /// shards of a sharded deployment equals the unsharded kernel's
+    /// value — the equivalence the sharded-vs-unsharded proptests check.
+    /// An absent or empty space digests to 0.
     pub fn canonical_space_digest(&self, id: TsId) -> u64 {
         self.stables.get(&id).map_or(0, IndexedStore::digest)
     }
@@ -1688,7 +1693,8 @@ impl Kernel {
         for (id, tuples) in img.spaces {
             // Fresh stores: indexes and the miss cache are derived state
             // and deliberately absent from the image; they rebuild from
-            // live traffic.
+            // live traffic. The inserts renumber store seqs densely and
+            // maintain the running digests the check below reads.
             let mut store = IndexedStore::new();
             for t in tuples {
                 store.insert(t);
@@ -2253,6 +2259,45 @@ mod tests {
         assert_eq!(k1.snapshot(TsId(0)), k2.snapshot(TsId(0)));
         assert_eq!(k1.blocked_len(), 1);
         assert_eq!(k2.blocked_len(), 1);
+    }
+
+    #[test]
+    fn digest_survives_checkpoint_restore_renumbering() {
+        let (mut k, _rx) = kernel();
+        let mut seq = 0;
+        let mut apply = |k: &mut Kernel, req: Request| {
+            seq += 1;
+            k.apply(&app(seq, 0, seq, &req));
+        };
+        apply(&mut k, Request::CreateTs { name: "m".into() });
+        for i in 0..6 {
+            let row = vec![Operand::cst("row"), Operand::cst(i)];
+            apply(&mut k, Request::Ags(Ags::out_one(TsId(0), row)));
+            apply(
+                &mut k,
+                Request::Ags(Ags::out_one(TsId(0), vec![Operand::cst(i)])),
+            );
+        }
+        // Withdrawals from the middle of a bucket leave gaps in the store
+        // seqs, which the restore renumbers densely.
+        for i in [1, 4] {
+            let take = Ags::in_one(TsId(0), vec![MF::actual("row"), MF::actual(i)]).unwrap();
+            apply(&mut k, Request::Ags(take));
+        }
+        let image = k.checkpoint();
+        let (mut k2, _rx2) = kernel();
+        k2.apply(&Delivery::Restore { image });
+        assert_eq!(k2.digest(), k.digest());
+        assert_eq!(
+            k2.canonical_space_digest(TsId(0)),
+            k.canonical_space_digest(TsId(0))
+        );
+        // The two replicas stay equal as the restored one keeps applying.
+        let update = Ags::in_one(TsId(0), vec![MF::actual("row"), MF::actual(0)]).unwrap();
+        for kernel in [&mut k, &mut k2] {
+            kernel.apply(&app(99, 0, 99, &Request::Ags(update.clone())));
+        }
+        assert_eq!(k2.digest(), k.digest());
     }
 
     #[test]

@@ -35,6 +35,12 @@
 //! Checkpoint/restore rebuilds stores from snapshots, which starts the
 //! derived state empty.
 //!
+//! **Running digests:** each signature bucket of the [`IndexedStore`]
+//! keeps its share of the replica digest up to date as tuples enter and
+//! leave it, so [`IndexedStore::digest`] costs O(signatures), not
+//! O(tuples). The value depends only on each bucket's tuples in age
+//! order, never on the store's internal sequence numbers.
+//!
 //! **Zero-clone withdraw contract:** `take`/`take_all` (and the tracked
 //! variants) move the stored tuple out by removing it first — they never
 //! clone payload bytes. Only the read-side operations (`read`,
@@ -352,6 +358,52 @@ fn best_candidates<'a>(indexes: &'a [ValueIndex], p: &Pattern) -> Cands<'a> {
     }
 }
 
+/// Stands in for the hash of the tuple before a bucket's oldest one in
+/// the running digest (see [`Bucket::acc`]).
+const LINK_START: u64 = 0x243f_6a88_85a3_08d3;
+
+/// Stable hash of one tuple. [`Entry`] stores it beside the tuple, so
+/// maintaining the running digest never re-hashes a neighbour.
+fn tuple_hash(t: &Tuple) -> u64 {
+    let mut h = linda_tuple::StableHasher::default();
+    t.hash(&mut h);
+    h.finish()
+}
+
+/// The running-digest term of one adjacent pair of tuple hashes, older
+/// first: a multiply and a 64-bit finaliser, asymmetric in its
+/// arguments, so swapping two neighbours changes the term.
+fn link(prev: u64, next: u64) -> u64 {
+    let mut x = prev.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ next;
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+/// One signature bucket's share of [`IndexedStore::digest`].
+fn bucket_digest(sig: u64, acc: u64, len: usize) -> u64 {
+    let mut h = linda_tuple::StableHasher::default();
+    h.write_u64(sig);
+    h.write_u64(acc);
+    h.write_u64(0x5eed ^ len as u64);
+    h.finish()
+}
+
+/// A stored tuple with what the running digest needs of it and of its
+/// older neighbour.
+#[derive(Debug, Clone)]
+struct Entry {
+    /// [`tuple_hash`] of `tuple`.
+    hash: u64,
+    /// `hash` of the entry just older in the bucket, [`LINK_START`] for
+    /// the oldest. Kept so a removal finds both links it breaks with one
+    /// search, for the younger neighbour.
+    prev: u64,
+    tuple: Tuple,
+}
+
 /// One signature bucket of the [`IndexedStore`].
 ///
 /// `indexes` lives in a `RefCell` because promotion happens on the
@@ -362,7 +414,13 @@ fn best_candidates<'a>(indexes: &'a [ValueIndex], p: &Pattern) -> Cands<'a> {
 #[derive(Debug, Clone)]
 struct Bucket {
     /// Insertion-ordered entries (key = global insertion sequence).
-    entries: BTreeMap<u64, Tuple>,
+    entries: BTreeMap<u64, Entry>,
+    /// Running digest: the wrapping sum of `link(e.prev, e.hash)` over
+    /// the entries, i.e. of [`link`] over every adjacent pair in age
+    /// order with [`LINK_START`] before the oldest. [`Bucket::insert`]
+    /// and [`Bucket::remove`] — the only places `entries` changes — keep
+    /// it current.
+    acc: u64,
     /// Value indexes; position 0 (the head index) is always present.
     indexes: RefCell<Vec<ValueIndex>>,
 }
@@ -371,6 +429,7 @@ impl Default for Bucket {
     fn default() -> Self {
         Bucket {
             entries: BTreeMap::new(),
+            acc: 0,
             indexes: RefCell::new(vec![ValueIndex::empty(0)]),
         }
     }
@@ -383,21 +442,65 @@ impl Bucket {
     /// must treat `false` as a contract violation (see `insert_tracked`
     /// / `restore_at`).
     fn insert(&mut self, seq: u64, t: Tuple) -> bool {
-        if self.entries.contains_key(&seq) {
-            return false;
-        }
+        let hash = tuple_hash(&t);
+        let prev = match self.entries.last_key_value() {
+            None => LINK_START,
+            // An append, the common case: no younger neighbour.
+            Some((&last, e)) if last < seq => e.hash,
+            // Mid-bucket, as when an undo restores a withdrawn tuple: the
+            // new entry goes between the younger neighbour and its older
+            // one.
+            Some(_) => {
+                let (&key, next) = self
+                    .entries
+                    .range_mut(seq..)
+                    .next()
+                    .expect("a key at or above seq exists");
+                if key == seq {
+                    return false;
+                }
+                let prev = next.prev;
+                self.acc = self
+                    .acc
+                    .wrapping_sub(link(prev, next.hash))
+                    .wrapping_add(link(hash, next.hash));
+                next.prev = hash;
+                prev
+            }
+        };
         for ix in self.indexes.get_mut().iter_mut() {
             if let Some(v) = t.get(ix.pos) {
                 ix.map.entry(v.clone()).or_default().insert(seq);
                 ix.maintenance.set(ix.maintenance.get() + 1);
             }
         }
-        self.entries.insert(seq, t);
+        self.acc = self.acc.wrapping_add(link(prev, hash));
+        self.entries.insert(
+            seq,
+            Entry {
+                hash,
+                prev,
+                tuple: t,
+            },
+        );
         true
     }
 
     fn remove(&mut self, seq: u64) -> Option<Tuple> {
-        let t = self.entries.remove(&seq)?;
+        let Entry {
+            hash,
+            prev,
+            tuple: t,
+        } = self.entries.remove(&seq)?;
+        self.acc = self.acc.wrapping_sub(link(prev, hash));
+        // The younger neighbour now follows the removed entry's older one.
+        if let Some((_, next)) = self.entries.range_mut(seq..).next() {
+            self.acc = self
+                .acc
+                .wrapping_sub(link(hash, next.hash))
+                .wrapping_add(link(prev, next.hash));
+            next.prev = prev;
+        }
         for ix in self.indexes.get_mut().iter_mut() {
             if let Some(v) = t.get(ix.pos) {
                 if let Some(set) = ix.map.get_mut(v) {
@@ -412,6 +515,11 @@ impl Bucket {
         Some(t)
     }
 
+    /// The tuple stored under `seq`, which must be present.
+    fn tuple(&self, seq: u64) -> &Tuple {
+        &self.entries[&seq].tuple
+    }
+
     /// Oldest matching seq plus the number of tuples examined. An
     /// expensive attempt promotes indexes for the pattern's constant
     /// fields before returning (so the *next* attempt is cheap).
@@ -423,11 +531,11 @@ impl Bucket {
                 Cands::Empty => None,
                 Cands::Set(set) => set.iter().copied().find(|seq| {
                     probes += 1;
-                    p.matches(&self.entries[seq])
+                    p.matches(self.tuple(*seq))
                 }),
-                Cands::Scan => self.entries.keys().copied().find(|seq| {
+                Cands::Scan => self.entries.iter().find_map(|(seq, e)| {
                     probes += 1;
-                    p.matches(&self.entries[seq])
+                    p.matches(&e.tuple).then_some(*seq)
                 }),
             }
         };
@@ -447,16 +555,15 @@ impl Bucket {
                     .copied()
                     .filter(|seq| {
                         probes += 1;
-                        p.matches(&self.entries[seq])
+                        p.matches(self.tuple(*seq))
                     })
                     .collect(),
                 Cands::Scan => self
                     .entries
-                    .keys()
-                    .copied()
-                    .filter(|seq| {
+                    .iter()
+                    .filter_map(|(seq, e)| {
                         probes += 1;
-                        p.matches(&self.entries[seq])
+                        p.matches(&e.tuple).then_some(*seq)
                     })
                     .collect(),
             }
@@ -482,8 +589,8 @@ impl Bucket {
                 continue;
             }
             let mut ix = ValueIndex::empty(pos);
-            for (seq, t) in &self.entries {
-                if let Some(v) = t.get(pos) {
+            for (seq, e) in &self.entries {
+                if let Some(v) = e.tuple.get(pos) {
                     ix.map.entry(v.clone()).or_default().insert(*seq);
                 }
             }
@@ -653,21 +760,51 @@ impl IndexedStore {
     }
 
     /// Replica digest of the stored tuples: XOR over signature buckets
-    /// of H(signature hash, the bucket's tuples oldest first, count).
+    /// of H(signature hash, running value, count), where a bucket's
+    /// running value sums a mixing function over every adjacent pair of
+    /// its tuple hashes, oldest first. Each insert and withdraw adjusts
+    /// at most three pairs in O(log n), so reading the digest costs
+    /// O(signatures) and hashes no tuple.
+    ///
     /// Every pattern matches within one bucket, so the interleaving of
     /// insertions across buckets cannot be observed and does not count;
-    /// the withdraw order inside each bucket does. Buckets are disjoint
-    /// across shards, so the XOR of every shard's digest equals the
-    /// digest of the unsharded store. An empty store digests to 0.
+    /// the order inside each bucket does, and the store's internal
+    /// sequence numbers do not (a restore renumbers them). Buckets are
+    /// disjoint across shards, so the XOR of every shard's digest equals
+    /// the digest of the unsharded store. An empty store digests to 0.
+    ///
+    /// Blind spot: two orders of one bucket with the same multiset of
+    /// adjacent pairs digest equal, e.g. `a,b,a,c,a` and `a,c,a,b,a`;
+    /// telling them apart needs one value repeated with different
+    /// neighbours. Debug builds check the running values against a full
+    /// recompute on every call.
     pub fn digest(&self) -> u64 {
-        self.buckets.iter().fold(0, |acc, (sig, bucket)| {
-            let mut h = linda_tuple::StableHasher::default();
-            h.write_u64(*sig);
-            for t in bucket.entries.values() {
-                t.hash(&mut h);
-            }
-            h.write_u64(0x5eed ^ bucket.entries.len() as u64);
-            acc ^ h.finish()
+        let d = self.buckets.iter().fold(0, |acc, (sig, b)| {
+            acc ^ bucket_digest(*sig, b.acc, b.entries.len())
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            d,
+            self.digest_walk(),
+            "running digest drifted from a full walk"
+        );
+        d
+    }
+
+    /// [`IndexedStore::digest`] recomputed from scratch: every tuple
+    /// re-hashed, every link re-summed. The oracle for the running
+    /// values; release builds never walk.
+    #[cfg(any(test, debug_assertions))]
+    fn digest_walk(&self) -> u64 {
+        self.buckets.iter().fold(0, |acc, (sig, b)| {
+            let (sum, _) = b
+                .entries
+                .values()
+                .fold((0u64, LINK_START), |(sum, prev), e| {
+                    let h = tuple_hash(&e.tuple);
+                    (sum.wrapping_add(link(prev, h)), h)
+                });
+            acc ^ bucket_digest(*sig, sum, b.entries.len())
         })
     }
 
@@ -804,14 +941,15 @@ impl IndexedStore {
     /// stable hash, oldest first — the whole-bucket handoff used when a
     /// cross-shard AGS temporarily moves a signature to another replica
     /// group. Derived state for the signature (value indexes, promotion
-    /// history) leaves with the bucket; cached misses stay correct
-    /// because a removal can never create a match, and re-installing the
-    /// tuples later funnels through `insert`, which invalidates.
+    /// history) and its running digest leave with the bucket; cached
+    /// misses stay correct because a removal can never create a match,
+    /// and re-installing the tuples later funnels through `insert`,
+    /// which invalidates.
     pub fn checkout_signature(&mut self, sig_hash: u64) -> Vec<Tuple> {
         let Some(bucket) = self.buckets.remove(&sig_hash) else {
             return Vec::new();
         };
-        let out: Vec<Tuple> = bucket.entries.into_values().collect();
+        let out: Vec<Tuple> = bucket.entries.into_values().map(|e| e.tuple).collect();
         self.len -= out.len();
         self.census_remove(sig_hash, out.len());
         out
@@ -864,7 +1002,7 @@ impl Store for IndexedStore {
         if found.is_none() {
             self.miss_cache.note_miss(p, cfg.miss_cache_cap);
         }
-        found.map(|seq| bucket.entries[&seq].clone())
+        found.map(|seq| bucket.tuple(seq).clone())
     }
 
     fn count(&self, p: &Pattern) -> usize {
@@ -911,7 +1049,7 @@ impl Store for IndexedStore {
         }
         found
             .into_iter()
-            .map(|seq| bucket.entries[&seq].clone())
+            .map(|seq| bucket.tuple(seq).clone())
             .collect()
     }
 
@@ -930,7 +1068,7 @@ impl Store for IndexedStore {
         let mut all: Vec<(u64, &Tuple)> = self
             .buckets
             .values()
-            .flat_map(|b| b.entries.iter().map(|(s, t)| (*s, t)))
+            .flat_map(|b| b.entries.iter().map(|(s, e)| (*s, &e.tuple)))
             .collect();
         all.sort_unstable_by_key(|(s, _)| *s);
         all.into_iter().map(|(_, t)| t.clone()).collect()
@@ -2068,5 +2206,187 @@ mod tracked_tests {
         assert_eq!(s.take_all(&pat!("t", ?int)).len(), 1); // via take_all_tracked
         let d = s.match_stats().since(&before);
         assert_eq!(d.attempts, 1);
+    }
+}
+
+#[cfg(test)]
+mod digest_tests {
+    use super::*;
+    use linda_tuple::{pat, tuple, TypeTag};
+    use proptest::prelude::*;
+
+    const HEADS: [&str; 2] = ["a", "b"];
+
+    fn digest_of(tuples: &[Tuple]) -> u64 {
+        let mut s = IndexedStore::new();
+        for t in tuples {
+            s.insert(t.clone());
+        }
+        s.digest()
+    }
+
+    #[test]
+    fn order_within_a_bucket_changes_the_digest() {
+        let (x, y, z) = (tuple!("t", 1), tuple!("t", 2), tuple!("t", 3));
+        let orders = [
+            digest_of(&[x.clone(), y.clone(), z.clone()]),
+            digest_of(&[y.clone(), x.clone(), z.clone()]),
+            digest_of(&[x.clone(), z.clone(), y.clone()]),
+            digest_of(&[z, y, x]),
+        ];
+        for (i, a) in orders.iter().enumerate() {
+            for b in &orders[i + 1..] {
+                assert_ne!(a, b, "distinct tuples in another order digest apart");
+            }
+        }
+        // A withdraw-and-reinsert moves the oldest tuple to the back.
+        let mut s = IndexedStore::new();
+        for i in 1..=3 {
+            s.insert(tuple!("t", i));
+        }
+        let before = s.digest();
+        let t = s.take(&pat!("t", 1)).unwrap();
+        s.insert(t);
+        assert_ne!(s.digest(), before);
+    }
+
+    #[test]
+    fn seq_numbering_does_not_change_the_digest() {
+        let fresh = digest_of(&[tuple!("t", 1), tuple!("t", 2), tuple!("u"), tuple!("t", 3)]);
+        // The same bucket sequences with withdraw gaps in the store's
+        // seq numbering, from plain and tracked withdrawals.
+        let mut gapped = IndexedStore::new();
+        gapped.insert(tuple!("t", 0));
+        gapped.insert(tuple!("t", 1));
+        gapped.insert(tuple!("u", 9));
+        assert!(gapped.take(&pat!("t", 0)).is_some());
+        gapped.insert(tuple!("t", 2));
+        let undo = gapped.insert_tracked(tuple!("t", 7));
+        gapped.remove_at(undo, tuple!("t", 7).signature().stable_hash());
+        gapped.insert(tuple!("u"));
+        gapped.insert(tuple!("t", 3));
+        assert_eq!(gapped.take_all(&pat!("u", ?int)).len(), 1);
+        assert_eq!(gapped.digest(), fresh);
+        assert_eq!(gapped.digest(), gapped.digest_walk());
+    }
+
+    /// Documents the known blind spot rather than hiding it: one value
+    /// repeated between different neighbours can be reordered without
+    /// changing the multiset of adjacent pairs, and so the digest.
+    #[test]
+    fn same_adjacent_pairs_digest_equal() {
+        let (a, b, c) = (tuple!("t", 0), tuple!("t", 1), tuple!("t", 2));
+        assert_eq!(
+            digest_of(&[a.clone(), b.clone(), a.clone(), c.clone(), a.clone()]),
+            digest_of(&[a.clone(), c, a.clone(), b, a])
+        );
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `insert` of `(head, v)`.
+        Insert(u8, i8),
+        /// `insert` of `(v)`, a second signature.
+        InsertBare(i8),
+        Take(Option<u8>, Option<i8>),
+        TakeAll(Option<u8>, Option<i8>),
+        /// An aborted AGS: `take_tracked` up to two matches and
+        /// `insert_tracked` a tuple, then undo newest first with
+        /// `remove_at` and `restore_at` (which restores mid-bucket).
+        Abort(Option<u8>, Option<i8>, u8, i8),
+        /// Check the `(str, int)` or the `(int)` bucket out and re-insert
+        /// its tuples oldest first, as a cross-shard handoff does.
+        CheckoutReinsert(bool),
+        Clear,
+    }
+
+    /// `None` → formal, `Some` → constant field.
+    fn pattern(head: Option<u8>, v: Option<i8>) -> Pattern {
+        let f0 = match head {
+            Some(h) => PatField::Actual(Value::from(HEADS[h as usize % HEADS.len()])),
+            None => PatField::Formal(TypeTag::Str),
+        };
+        let f1 = match v {
+            Some(v) => PatField::Actual(Value::from(v as i64)),
+            None => PatField::Formal(TypeTag::Int),
+        };
+        Pattern::new(vec![f0, f1])
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let sel = || {
+            (
+                proptest::option::of(0u8..HEADS.len() as u8),
+                proptest::option::of(0i8..3),
+            )
+        };
+        prop_oneof![
+            5 => (0u8..HEADS.len() as u8, 0i8..3).prop_map(|(h, v)| Op::Insert(h, v)),
+            2 => (0i8..3).prop_map(Op::InsertBare),
+            3 => sel().prop_map(|(h, v)| Op::Take(h, v)),
+            1 => sel().prop_map(|(h, v)| Op::TakeAll(h, v)),
+            2 => (sel(), 0u8..HEADS.len() as u8, 0i8..3)
+                .prop_map(|((h, v), ih, iv)| Op::Abort(h, v, ih, iv)),
+            1 => (0u8..2).prop_map(|b| Op::CheckoutReinsert(b == 0)),
+            1 => Just(Op::Clear),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The running bucket values equal a from-scratch recompute after
+        /// every store operation, every undo leaves the digest where it
+        /// was, and a store rebuilt from the snapshot (densely renumbered,
+        /// as a restore does) digests equal.
+        #[test]
+        fn running_digest_equals_full_recompute(
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+        ) {
+            let mut s = IndexedStore::new();
+            for op in &ops {
+                let before = s.digest_walk();
+                match op {
+                    Op::Insert(h, v) => {
+                        s.insert(tuple!(HEADS[*h as usize % HEADS.len()], *v as i64));
+                    }
+                    Op::InsertBare(v) => s.insert(tuple!(*v as i64)),
+                    Op::Take(h, v) => {
+                        s.take(&pattern(*h, *v));
+                    }
+                    Op::TakeAll(h, v) => {
+                        s.take_all(&pattern(*h, *v));
+                    }
+                    Op::Abort(h, v, ih, iv) => {
+                        let p = pattern(*h, *v);
+                        let taken: Vec<(u64, Tuple)> =
+                            (0..2).filter_map(|_| s.take_tracked(&p)).collect();
+                        let t = tuple!(HEADS[*ih as usize % HEADS.len()], *iv as i64);
+                        let sig = t.signature().stable_hash();
+                        let seq = s.insert_tracked(t);
+                        prop_assert_eq!(s.digest(), s.digest_walk());
+                        prop_assert!(s.remove_at(seq, sig).is_some());
+                        for (seq, t) in taken.into_iter().rev() {
+                            prop_assert!(s.restore_at(seq, t));
+                        }
+                        prop_assert_eq!(s.digest(), before, "undo restores the digest");
+                    }
+                    Op::CheckoutReinsert(pair) => {
+                        let t = if *pair { tuple!("a", 0) } else { tuple!(0) };
+                        for t in s.checkout_signature(t.signature().stable_hash()) {
+                            s.insert(t);
+                        }
+                        prop_assert_eq!(s.digest(), before, "handoff keeps bucket order");
+                    }
+                    Op::Clear => s.clear(),
+                }
+                prop_assert_eq!(s.digest(), s.digest_walk());
+            }
+            let mut rebuilt = IndexedStore::new();
+            for t in s.snapshot() {
+                rebuilt.insert(t);
+            }
+            prop_assert_eq!(rebuilt.digest(), s.digest());
+        }
     }
 }
