@@ -633,10 +633,11 @@ impl Kernel {
 
     /// Add this kernel's store census to `snap`, read from the stores
     /// now: per space, the match counters
-    /// (`ftlinda_match_{attempts,probes}_total`,
-    /// `ftlinda_miss_cache_hits_total`), the probe efficiency in basis
-    /// points, the value-index counters and level, and per signature the
-    /// occupancy and its high-water mark. Children add to what `snap`
+    /// (`ftlinda_match_{attempts,probes,hits}_total`,
+    /// `ftlinda_miss_cache_hits_total`), the value-index counters and
+    /// level, and per signature the occupancy and its high-water mark.
+    /// Every figure is a count or a level, so merged pages stay true:
+    /// probe efficiency is hits ÷ probes of the same page. Children add to what `snap`
     /// already holds, as a merge would, so every shard's kernel can feed
     /// one snapshot. Counters include the totals of stores a restore
     /// replaced, so they never decrease; a signature the restored stores
@@ -679,6 +680,11 @@ impl Kernel {
             counted(|t| t.matches.probes, attempted),
         );
         snap.add_counter_family(
+            "ftlinda_match_hits_total",
+            "Match probes that matched, by stable space",
+            counted(|t| t.matches.hits, attempted),
+        );
+        snap.add_counter_family(
             "ftlinda_miss_cache_hits_total",
             "Match attempts answered by the miss cache with zero probes, by stable space",
             counted(|t| t.matches.cache_hits, attempted),
@@ -693,16 +699,7 @@ impl Kernel {
             "Value indexes demoted for excess maintenance cost, by stable space",
             counted(|t| t.index_demotions, |t| t.index_demotions > 0),
         );
-        // Efficiency (integer basis points: percent floored the 100k-miss
-        // case to 0, indistinguishable from idle) and live value indexes
-        // describe the current stores only.
-        snap.add_gauge_family(
-            "ftlinda_match_probe_efficiency_bp",
-            "Basis points of match probes that hit (0-10000), by stable space",
-            spaces
-                .iter()
-                .map(|(labels, _, s)| (labels.clone(), s.match_stats().efficiency_bp())),
-        );
+        // Live value indexes describe the current stores only.
         snap.add_gauge_family(
             "ftlinda_value_indexes",
             "Promoted value indexes currently live (beyond the head index), by stable space",

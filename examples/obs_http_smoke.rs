@@ -97,6 +97,14 @@ fn main() {
         .find(|s| s.stage == "xbegin")
         .expect("cross-shard commit recorded xbegin")
         .trace;
+    // Every replica has applied both shards' streams before the
+    // addresses are printed, so the counters a scrape reads are final.
+    for shard in 0..2 {
+        let top = rts.iter().map(|rt| rt.applied_seqs()[shard]).max();
+        for rt in &rts {
+            assert!(rt.wait_applied_shard(shard, top.unwrap(), Duration::from_secs(5)));
+        }
+    }
 
     for rt in &rts {
         let addr = cluster

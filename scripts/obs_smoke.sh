@@ -3,8 +3,10 @@
 # obs_http_smoke example, then scrape every member's HTTP exporter with
 # curl and assert the surfaces a monitoring stack depends on:
 #   /metrics  — Prometheus text incl. the batch histograms and the
-#               per-signature occupancy / match-probe families
-#   /metrics/cluster — merged registries of every live member
+#               per-signature occupancy / match-probe families; for the
+#               `main` space, match hits never exceed match probes
+#   /metrics/cluster — merged registries of every live member; its
+#               `main` match hits equal the sum over the member pages
 #   /healthz  — live member with an applied sequence number
 #   /introspect — signature census + blocked-AGS table as JSON
 #   /trace/<id> — a complete cross-replica span tree; for the XTRACE id,
@@ -34,6 +36,25 @@ grep -q '^XTRACE ' "$OUT" || { echo "exporter never came up:"; cat "$OUT"; exit 
 TRACE_ID="$(awk '/^TRACE /{print $2}' "$OUT")"
 XTRACE_ID="$(awk '/^XTRACE /{print $2}' "$OUT")"
 FAIL=0
+
+# Value of sample $1 (exact name and labels) in the page on stdin, or
+# nothing when the page lacks it.
+sample() { awk -v k="$1" 'index($0, k " ") == 1 { print $2; exit }'; }
+HITS_KEY='ftlinda_match_hits_total{space="main"}'
+PROBES_KEY='ftlinda_match_probes_total{space="main"}'
+# Fails unless the page on stdin has integer hits and probes for `main`
+# with hits <= probes; prints the hits.
+match_hits() {
+    local page hits probes
+    page="$(cat)"
+    hits="$(sample "$HITS_KEY" <<<"$page")"
+    probes="$(sample "$PROBES_KEY" <<<"$page")"
+    [[ "$hits" =~ ^[0-9]+$ && "$probes" =~ ^[0-9]+$ ]] || return 1
+    [ "$hits" -le "$probes" ] || return 1
+    echo "$hits"
+}
+MEMBER_HITS=0
+CLUSTER_HITS=()
 while read -r _ host addr; do
     echo "--- member $host @ $addr"
     METRICS="$(curl -sfS "http://$addr/metrics")"
@@ -48,12 +69,22 @@ while read -r _ host addr; do
     # space+signature labels, probe counters carry the space label.
     for pat in 'ftlinda_ts_tuples{space="main",signature="<str,int>"}' \
                'ftlinda_match_probes_total{space="main"}' \
-               'ftlinda_match_probe_efficiency_bp{space="main"}'; do
+               'ftlinda_match_hits_total{space="main"}'; do
         if ! grep -qF "$pat" <<<"$METRICS"; then
             echo "    MISSING $pat in /metrics of member $host"; FAIL=1
         fi
     done
+    if HITS="$(match_hits <<<"$METRICS")"; then
+        MEMBER_HITS=$((MEMBER_HITS + HITS))
+    else
+        echo "    member $host /metrics: bad or missing $HITS_KEY <= $PROBES_KEY"; FAIL=1
+    fi
     CLUSTER="$(curl -sfS "http://$addr/metrics/cluster")"
+    if HITS="$(match_hits <<<"$CLUSTER")"; then
+        CLUSTER_HITS+=("$HITS")
+    else
+        echo "    member $host /metrics/cluster: bad or missing $HITS_KEY <= $PROBES_KEY"; FAIL=1
+    fi
     for pat in 'ftlinda_ts_tuples{space="main",signature="<str,int>"}' \
                'ftlinda_ags_completions_total' 'ftlinda_applied_seq' \
                'ftlinda_shard_tuples{shard=' 'ftlinda_shard_ags_total{shard=' \
@@ -95,6 +126,19 @@ while read -r _ host addr; do
     fi
     echo "    metrics/cluster-metrics/introspect/healthz/trace/xtrace/timeseries OK"
 done < <(grep '^MEMBER ' "$OUT")
+
+# The workload has finished on every replica before the addresses are
+# printed, so the counters are final: each cluster page's hits must be
+# the sum of the member pages', and that sum must not be 0.
+echo "--- match hits: member pages sum to $MEMBER_HITS, cluster pages read ${CLUSTER_HITS[*]:-none}"
+if [ "$MEMBER_HITS" -eq 0 ]; then
+    echo "    no match hits counted on any member page"; FAIL=1
+fi
+for hits in "${CLUSTER_HITS[@]}"; do
+    if [ "$hits" -ne "$MEMBER_HITS" ]; then
+        echo "    /metrics/cluster hits $hits != $MEMBER_HITS over the member pages"; FAIL=1
+    fi
+done
 
 wait "$SMOKE_PID"
 [ "$FAIL" -eq 0 ] || { echo "HTTP exporter smoke FAILED"; exit 1; }

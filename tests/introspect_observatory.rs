@@ -131,7 +131,7 @@ fn introspect_occupancy_matches_exact_store_recount() {
             "{metrics}"
         );
         assert!(
-            metrics.contains("ftlinda_match_probe_efficiency_bp{space=\"jobs\"}"),
+            metrics.contains("ftlinda_match_hits_total{space=\"jobs\"}"),
             "{metrics}"
         );
     }
@@ -209,6 +209,61 @@ fn cluster_scope_metrics_merge_all_live_members() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+    cluster.shutdown();
+}
+
+/// Match counters stay true on merged pages: a host page sums its shard
+/// lanes' kernels, and the cluster page sums the members' pages.
+#[test]
+fn match_hits_sum_over_lanes_and_members_and_never_exceed_probes() {
+    let (cluster, rts) = Cluster::builder().hosts(3).shards(2).build();
+    let ts = rts[0].create_stable_ts("main").unwrap();
+    for i in 0..9i64 {
+        let rt = &rts[(i % 3) as usize];
+        rt.out(ts, tuple!("n", i)).unwrap();
+        rt.out(ts, tuple!(i, "m", 0.5)).unwrap();
+    }
+    for i in 0..3i64 {
+        let rt = &rts[i as usize];
+        rt.in_(ts, &pat!("n", ?int)).unwrap();
+        rt.rd(ts, &pat!(?int, "m", ?float)).unwrap();
+        assert!(rt.inp(ts, &pat!("absent", ?int)).unwrap().is_none());
+    }
+    // Every replica has applied both shards' streams: the counters are
+    // final before any page is read.
+    for shard in 0..2 {
+        let top = rts.iter().map(|rt| rt.applied_seqs()[shard]).max();
+        for rt in &rts {
+            assert!(rt.wait_applied_shard(shard, top.unwrap(), Duration::from_secs(5)));
+        }
+    }
+    let hits_key = "ftlinda_match_hits_total{space=\"main\"}";
+    let probes_key = "ftlinda_match_probes_total{space=\"main\"}";
+    let mut member_sum = 0.0;
+    for rt in &rts {
+        let lanes: u64 = (0..2)
+            .map(|shard| {
+                let report = rt.introspect_shard(shard).expect("two lanes");
+                let main = report.spaces.iter().find(|s| s.name == "main");
+                main.map_or(0, |s| s.match_stats.hits)
+            })
+            .sum();
+        let (code, page) = http_get(cluster.http_addr(rt.host()).unwrap(), "/metrics");
+        assert_eq!(code, 200);
+        let hits = sample(&page, hits_key).expect("hits counted");
+        let probes = sample(&page, probes_key).expect("probes counted");
+        assert_eq!(hits, lanes as f64, "host {:?}: {page}", rt.host());
+        assert!(hits > 0.0 && hits <= probes, "{hits} hits, {probes} probes");
+        member_sum += hits;
+    }
+    let (_, page) = http_get(
+        cluster.http_addr(rts[0].host()).unwrap(),
+        "/metrics/cluster",
+    );
+    let hits = sample(&page, hits_key).expect("cluster hits");
+    assert_eq!(hits, member_sum, "{page}");
+    assert!(hits <= sample(&page, probes_key).expect("cluster probes"));
+    assert!(!page.contains("efficiency_bp"), "no ratio on a merged page");
     cluster.shutdown();
 }
 
