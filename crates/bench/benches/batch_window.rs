@@ -7,9 +7,10 @@
 //! AGS*: 1.000 with batching off (the classic one-record-per-AGS
 //! protocol), strictly below 1 once concurrent submits coalesce.
 //!
-//! Besides the printed table, the run writes a `BENCH_msgs_per_ags.json`
-//! artifact (to `$BENCH_MSGS_PER_AGS_JSON` or the working directory)
-//! so CI can archive the curve.
+//! Besides the printed table, the run writes the whole
+//! `BENCH_msgs_per_ags.json` artifact (to `$BENCH_MSGS_PER_AGS_JSON` or
+//! the working directory) so CI can archive the curve. The `shard_sweep`
+//! bench writes its own file.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ftlinda::{Ags, Cluster, Operand, TsId};
@@ -94,10 +95,12 @@ fn run_window(window: Duration) -> Point {
 }
 
 fn write_artifact(points: &[Point]) {
-    // The window-sweep points run on an unsharded (K=1) cluster; the
-    // `shard_sweep` bench contributes the `shard_sweep` section of the
-    // same artifact, so update only this bench's keys.
-    let mut json = String::from("[\n");
+    // The window-sweep points run on an unsharded (K=1) cluster.
+    let mut json = String::from("{\n  \"bench\": \"msgs_per_ags\",\n");
+    let _ = writeln!(
+        json,
+        "  \"hosts\": {HOSTS},\n  \"submitters\": {SUBMITTERS},\n  \"points\": ["
+    );
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(
@@ -115,18 +118,8 @@ fn write_artifact(points: &[Point]) {
             p.ags_per_sec,
         );
     }
-    json.push_str("  ]");
-    let path = std::env::var("BENCH_MSGS_PER_AGS_JSON")
-        .unwrap_or_else(|_| "BENCH_msgs_per_ags.json".into());
-    linda_bench::update_artifact_sections(
-        &path,
-        &[
-            ("bench", "\"msgs_per_ags\"".into()),
-            ("hosts", HOSTS.to_string()),
-            ("submitters", SUBMITTERS.to_string()),
-            ("points", json),
-        ],
-    );
+    json.push_str("  ]\n}\n");
+    linda_bench::write_artifact("BENCH_MSGS_PER_AGS_JSON", "BENCH_msgs_per_ags.json", &json);
 }
 
 fn bench(c: &mut Criterion) {

@@ -142,12 +142,7 @@ fn write_artifact(points: &[Point]) {
         );
     }
     json.push_str("  ]\n}\n");
-    let path = std::env::var("BENCH_MATCH_PROBES_JSON")
-        .unwrap_or_else(|_| "BENCH_match_probes.json".into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    linda_bench::write_artifact("BENCH_MATCH_PROBES_JSON", "BENCH_match_probes.json", &json);
 }
 
 fn bench(c: &mut Criterion) {

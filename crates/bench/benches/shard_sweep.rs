@@ -20,10 +20,11 @@
 //! for a single-shard AGS — the reason the router keeps statically
 //! single-shard AGSs on the fast path.
 //!
-//! Results land in the `shard_sweep` section of
-//! `BENCH_msgs_per_ags.json` (`$BENCH_MSGS_PER_AGS_JSON`), next to the
-//! K=1 window-sweep points written by `batch_window`. The K=4 / K=1
-//! speedup is asserted ≥ `$SHARD_SWEEP_MIN_SPEEDUP` (default 2).
+//! Results land in `BENCH_shard_sweep.json` (`$BENCH_SHARD_SWEEP_JSON`),
+//! and the per-shard multicast load of each K in
+//! `BENCH_shard_balance.json` (`$BENCH_SHARD_BALANCE_JSON`); the bench
+//! writes both files whole. The K=4 / K=1 speedup is asserted
+//! ≥ `$SHARD_SWEEP_MIN_SPEEDUP` (default 2).
 
 use consul_sim::{NetConfig, NicModel};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -163,32 +164,30 @@ fn cross_shard_cost() -> u64 {
 }
 
 fn write_artifact(points: &[Point], speedup: f64) {
-    let mut json = String::from("{\n");
+    let mut json = String::from("{\n  \"bench\": \"shard_sweep\",\n");
     let _ = writeln!(
         json,
-        "    \"hosts\": {HOSTS}, \"submitters\": {SUBMITTERS}, \
-         \"window_us\": 0, \"nic\": \"ethernet_10mb\",\n    \"points\": ["
+        "  \"hosts\": {HOSTS}, \"submitters\": {SUBMITTERS}, \
+         \"window_us\": 0, \"nic\": \"ethernet_10mb\",\n  \"points\": ["
     );
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "      {{\"shards\": {}, \"ags\": {}, \"ordered_multicasts\": {}, \
+            "    {{\"shards\": {}, \"ags\": {}, \"ordered_multicasts\": {}, \
              \"ags_per_sec\": {:.1}}}{comma}",
             p.shards, p.ags, p.multicasts, p.ags_per_sec,
         );
     }
-    let _ = write!(json, "    ],\n    \"speedup_k4_vs_k1\": {speedup:.2}\n  }}");
-    let path = std::env::var("BENCH_MSGS_PER_AGS_JSON")
-        .unwrap_or_else(|_| "BENCH_msgs_per_ags.json".into());
-    linda_bench::update_artifact_sections(&path, &[("shard_sweep", json)]);
+    let _ = writeln!(json, "  ],\n  \"speedup_k4_vs_k1\": {speedup:.2}\n}}");
+    linda_bench::write_artifact("BENCH_SHARD_SWEEP_JSON", "BENCH_shard_sweep.json", &json);
 }
 
 /// Per-shard load census of the sweep: how evenly each K spread the
 /// ordered-multicast traffic over its sequencer streams, with the same
 /// basis-point imbalance gauge the cluster exports at runtime.
 fn write_balance_artifact(points: &[Point]) {
-    let mut json = String::from("{\n    \"points\": [\n");
+    let mut json = String::from("{\n  \"bench\": \"shard_balance\",\n  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let loads = p
@@ -199,15 +198,17 @@ fn write_balance_artifact(points: &[Point]) {
             .join(", ");
         let _ = writeln!(
             json,
-            "      {{\"shards\": {}, \"per_shard_multicasts\": [{loads}], \
+            "    {{\"shards\": {}, \"per_shard_multicasts\": [{loads}], \
              \"imbalance_bp\": {}}}{comma}",
             p.shards, p.imbalance_bp,
         );
     }
-    let _ = write!(json, "    ]\n  }}");
-    let path = std::env::var("BENCH_SHARD_BALANCE_JSON")
-        .unwrap_or_else(|_| "BENCH_shard_balance.json".into());
-    linda_bench::update_artifact_sections(&path, &[("shard_balance", json)]);
+    json.push_str("  ]\n}\n");
+    linda_bench::write_artifact(
+        "BENCH_SHARD_BALANCE_JSON",
+        "BENCH_shard_balance.json",
+        &json,
+    );
 }
 
 fn bench(c: &mut Criterion) {

@@ -224,130 +224,16 @@ pub fn print_stage_attribution(regs: &[std::sync::Arc<linda_obs::Registry>]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bench artifact files
-//
-// Several bench targets contribute sections to the same JSON artifact
-// (`BENCH_msgs_per_ags.json`): `batch_window` owns the window-sweep
-// points and `shard_sweep` owns the shard-sweep section. Each writer
-// updates only its own top-level keys so the benches can run in any
-// order (or alone) without clobbering the other's results.
-// ---------------------------------------------------------------------------
-
-/// Set or replace top-level keys of a JSON-object artifact file,
-/// preserving every other key. Creates the file (as `{…}`) when absent
-/// or not a JSON object. `sections` holds `(key, pre-rendered value)`
-/// pairs; the value must itself be valid JSON.
-pub fn update_artifact_sections(path: &str, sections: &[(&str, String)]) {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .filter(|s| s.trim_start().starts_with('{'))
-        .unwrap_or_else(|| "{\n}\n".into());
-    for (key, value) in sections {
-        doc = set_json_key(&doc, key, value);
-    }
-    match std::fs::write(path, &doc) {
+/// Write a bench's JSON artifact whole: to the path in environment
+/// variable `env` when set, else to `default` in the working directory.
+/// Each artifact file has exactly one writing bench. A failed write is
+/// reported, not fatal.
+pub fn write_artifact(env: &str, default: &str, json: &str) {
+    let path = std::env::var(env).unwrap_or_else(|_| default.into());
+    match std::fs::write(&path, json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
-}
-
-/// Replace the value of top-level `key` in a rendered JSON object, or
-/// insert the key before the closing brace when absent.
-fn set_json_key(doc: &str, key: &str, value: &str) -> String {
-    let needle = format!("\"{key}\"");
-    if let Some((start, end)) = top_level_value_span(doc, &needle) {
-        format!("{}{}{}", &doc[..start], value, &doc[end..])
-    } else {
-        // Insert before the final `}`.
-        let close = doc.rfind('}').unwrap_or(doc.len());
-        let body = doc[..close].trim_end();
-        let comma = if body.trim_start().len() > 1 { "," } else { "" };
-        format!("{body}{comma}\n  \"{key}\": {value}\n}}\n")
-    }
-}
-
-/// Byte span of the value bound to `needle` (a quoted key) at nesting
-/// depth 1, skipping string contents while scanning.
-fn top_level_value_span(doc: &str, needle: &str) -> Option<(usize, usize)> {
-    let bytes = doc.as_bytes();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if in_str {
-            match c {
-                b'\\' => i += 1,
-                b'"' => in_str = false,
-                _ => {}
-            }
-        } else {
-            match c {
-                b'"' => {
-                    if depth == 1 && doc[i..].starts_with(needle) {
-                        // Found the key: skip to the colon, then the value.
-                        let mut j = i + needle.len();
-                        while j < bytes.len() && bytes[j] != b':' {
-                            j += 1;
-                        }
-                        j += 1;
-                        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                            j += 1;
-                        }
-                        return Some((j, value_end(doc, j)));
-                    }
-                    in_str = true;
-                }
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => depth -= 1,
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// End (exclusive) of the JSON value starting at `start`.
-fn value_end(doc: &str, start: usize) -> usize {
-    let bytes = doc.as_bytes();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut i = start;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if in_str {
-            match c {
-                b'\\' => i += 1,
-                b'"' => {
-                    in_str = false;
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                _ => {}
-            }
-        } else {
-            match c {
-                b'"' => in_str = true,
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                    if depth < 0 {
-                        return i; // end of enclosing object
-                    }
-                }
-                b',' if depth == 0 => return i,
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    bytes.len()
 }
 
 #[cfg(test)]
@@ -365,23 +251,6 @@ mod tests {
         assert_eq!(null_ags().op_count(), 0);
         assert_eq!(out_ags(2).op_count(), 1);
         assert_eq!(in_out_ags(3, 2).op_count(), 2);
-    }
-
-    #[test]
-    fn set_json_key_inserts_replaces_and_preserves() {
-        let doc = set_json_key("{\n}\n", "a", "[1, 2]");
-        assert_eq!(doc, "{\n  \"a\": [1, 2]\n}\n");
-        let doc = set_json_key(&doc, "b", "{\"x\": \"y,z}\"}");
-        assert!(doc.contains("\"a\": [1, 2]"));
-        assert!(doc.contains("\"b\": {\"x\": \"y,z}\"}"));
-        // Replacing `a` keeps `b` (with its brace-bearing string) intact.
-        let doc = set_json_key(&doc, "a", "3.5");
-        assert!(doc.contains("\"a\": 3.5"), "{doc}");
-        assert!(doc.contains("\"b\": {\"x\": \"y,z}\"}"), "{doc}");
-        // Replacing a nested-object value by key at depth 1 only.
-        let doc = set_json_key(&doc, "b", "7");
-        assert!(doc.contains("\"b\": 7"), "{doc}");
-        assert!(doc.contains("\"a\": 3.5"), "{doc}");
     }
 
     #[test]

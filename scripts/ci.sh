@@ -44,11 +44,10 @@ cargo bench -p linda-bench --bench msgs_per_ags -- --test
 # shard_sweep runs K in {1,2,4} single-shard write traffic under the
 # 10 Mb-Ethernet NIC model (group commit off) and fails if K=4 does not
 # beat K=1 by at least SHARD_SWEEP_MIN_SPEEDUP (default 2x); it also
-# asserts the 2S+1 cross-shard multicast price, adds the shard_sweep
-# section to the same JSON artifact, and writes the per-shard
-# multicast-load census (with the basis-point imbalance gauge) to the
-# shard-balance artifact.
-BENCH_MSGS_PER_AGS_JSON="${BENCH_MSGS_PER_AGS_JSON:-$PWD/BENCH_msgs_per_ags.json}" \
+# asserts the 2S+1 cross-shard multicast price, writes the sweep to the
+# shard-sweep artifact, and writes the per-shard multicast-load census
+# (with the basis-point imbalance gauge) to the shard-balance artifact.
+BENCH_SHARD_SWEEP_JSON="${BENCH_SHARD_SWEEP_JSON:-$PWD/BENCH_shard_sweep.json}" \
 BENCH_SHARD_BALANCE_JSON="${BENCH_SHARD_BALANCE_JSON:-$PWD/BENCH_shard_balance.json}" \
 SHARD_SWEEP_MIN_SPEEDUP="${SHARD_SWEEP_MIN_SPEEDUP:-2}" \
     cargo bench -p linda-bench --bench shard_sweep -- --test
