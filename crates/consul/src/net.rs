@@ -9,7 +9,11 @@
 //! * a delayed *perfect failure detector*: `crash()` schedules a
 //!   `CrashNotice` control event to every live host after the configured
 //!   detection delay, modelling the heartbeat timeout that converts
-//!   fail-silent crashes into fail-stop notifications (paper §2.3)
+//!   fail-silent crashes into fail-stop notifications (paper §2.3). The
+//!   notice travels on the crashed host's own links, so it arrives after
+//!   everything that incarnation sent and before anything a restarted
+//!   one sends. Nothing announces a restart: peers learn that a host is
+//!   back from its own `JoinReq` traffic, as they do under heartbeats.
 //! * message and byte accounting for the E9 experiment
 //!
 //! The router runs on its own thread, draining a monotonic delay queue.
@@ -47,11 +51,11 @@ pub enum NetEvent<M> {
         /// Payload.
         msg: M,
     },
-    /// The failure detector reports `host` crashed (delivered to every
-    /// live host after the detection delay).
+    /// The failure detector reports `host` crashed: delivered to every
+    /// live host after the detection delay, in FIFO order on the link
+    /// from `host` (after its last message, before its next
+    /// incarnation's first).
     CrashNotice(HostId),
-    /// The failure detector reports `host` (re)joined the network.
-    JoinNotice(HostId),
     /// A local wake-up for the receiving host's protocol thread, pushed
     /// by another thread of the same process. It never crosses a link:
     /// it is not encoded and not counted in [`NetStats`].
@@ -395,7 +399,8 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
     /// Crash a host (fail-silent). In-flight messages to it are dropped at
     /// delivery time; messages from it no longer enter the wire. After the
     /// detection delay every live host receives a
-    /// [`NetEvent::CrashNotice`].
+    /// [`NetEvent::CrashNotice`], queued on the link from the crashed host
+    /// so that a restarted incarnation's traffic cannot overtake it.
     pub fn crash(&self, host: HostId) {
         let mut st = self.inner.state.lock();
         if st.crashed.get(&host).copied().unwrap_or(false) {
@@ -416,7 +421,7 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
         for p in peers {
             self.schedule(
                 &mut st,
-                None,
+                Some(host),
                 p,
                 NetEvent::CrashNotice(host),
                 self.inner.cfg.detect_delay,
@@ -446,35 +451,15 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
         st.crashed.insert(host, false);
     }
 
-    /// Restart a crashed host: installs a fresh inbox (returned) and, after
-    /// the detection delay, announces a [`NetEvent::JoinNotice`] to every
-    /// live host *including the restarted one*.
+    /// Restart a crashed host: installs a fresh inbox (returned) and lets
+    /// its traffic flow again. No event announces the restart; peers
+    /// learn of it from the new incarnation's own messages.
     pub fn restart(&self, host: HostId) -> crossbeam::channel::Receiver<NetEvent<M>> {
         let (tx, rx) = crossbeam::channel::unbounded();
         let mut st = self.inner.state.lock();
         st.crashed.insert(host, false);
         st.nic_free.remove(&host);
         st.inboxes.insert(host, tx);
-        if self.inner.cfg.heartbeats.is_some() {
-            // Heartbeat mode: liveness is learned from the JoinReq/ping
-            // traffic of the restarted host itself.
-            return rx;
-        }
-        let peers: Vec<HostId> = st
-            .inboxes
-            .keys()
-            .copied()
-            .filter(|h| !st.crashed.get(h).copied().unwrap_or(false))
-            .collect();
-        for p in peers {
-            self.schedule(
-                &mut st,
-                None,
-                p,
-                NetEvent::JoinNotice(host),
-                self.inner.cfg.detect_delay,
-            );
-        }
         rx
     }
 
@@ -664,16 +649,12 @@ mod tests {
     }
 
     #[test]
-    fn restart_installs_new_inbox_and_announces() {
+    fn restart_installs_new_inbox() {
         let (net, rxs) = SimNet::<TestMsg>::new(2, NetConfig::instant());
         net.crash(HostId(1));
         // drain crash notice at host 0
         let _ = rxs[0].recv_timeout(Duration::from_secs(1)).unwrap();
         let rx1 = net.restart(HostId(1));
-        let ev = rxs[0].recv_timeout(Duration::from_secs(1)).unwrap();
-        assert!(matches!(ev, NetEvent::JoinNotice(HostId(1))));
-        let ev = rx1.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert!(matches!(ev, NetEvent::JoinNotice(HostId(1))));
         // New inbox is live.
         net.send(HostId(0), HostId(1), TestMsg(9));
         assert_eq!(
@@ -681,6 +662,32 @@ mod tests {
             Some((HostId(0), TestMsg(9)))
         );
         assert!(!net.is_crashed(HostId(1)));
+        net.shutdown();
+    }
+
+    /// The detector's verdict about a crashed host travels on that host's
+    /// own links: after everything the old incarnation sent, before
+    /// anything the restarted one sends.
+    #[test]
+    fn crash_notice_is_fifo_between_incarnations() {
+        let cfg = NetConfig {
+            latency: Duration::from_millis(2),
+            jitter: Duration::from_millis(1),
+            ..NetConfig::default()
+        };
+        let (net, rxs) = SimNet::<TestMsg>::new(2, cfg);
+        net.send(HostId(0), HostId(1), TestMsg(1));
+        net.crash(HostId(0));
+        let _rx0 = net.restart(HostId(0));
+        net.send(HostId(0), HostId(1), TestMsg(2));
+        let seen: Vec<String> = (0..3)
+            .map(|_| match rxs[1].recv_timeout(Duration::from_secs(1)) {
+                Ok(NetEvent::Msg { from, msg }) => format!("{} from {from}", msg.0),
+                Ok(NetEvent::CrashNotice(h)) => format!("crash {h}"),
+                other => format!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(seen, ["1 from host0", "crash host0", "2 from host0"]);
         net.shutdown();
     }
 

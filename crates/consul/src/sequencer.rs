@@ -10,7 +10,10 @@
 //! multicasts the ordered record to all members. Members deliver records
 //! in contiguous sequence order.
 //!
-//! Failure handling (fail-silent crashes, perfect delayed detector):
+//! Failure handling (fail-silent crashes). A failure detector only
+//! delivers verdicts — `CrashNotice` from the Sim oracle, heartbeat
+//! silence, or a `JoinReq` carrying an incarnation nonce not yet seen
+//! from that host — and every verdict runs through the same `on_crash`:
 //!
 //! * **Coordinator crash** — the lowest-id live member becomes
 //!   coordinator-elect, queries every live member for its log suffix
@@ -22,13 +25,18 @@
 //!   detected by `(origin, local)` and answered with a retransmission
 //!   instead of a second sequence number, so delivery is exactly-once.
 //! * **Member crash** — the coordinator emits an ordered `Fail` record
-//!   (deduplicated per incarnation against the log).
+//!   (deduplicated per incarnation against the log); a coordinator that
+//!   finishes an election sync orders one for every host it does not
+//!   count live, so a `Fail` its dead predecessor never ordered is not
+//!   lost.
 //! * **Gaps** — a member receiving a record beyond its contiguous prefix
 //!   NACKs the coordinator, which retransmits from its complete log.
 //! * **Restart** — the rejoining host broadcasts `JoinReq` (with retry);
 //!   the coordinator replies with a `Snapshot` — the latest installed
 //!   state checkpoint plus only the log tail past it (or the full log
-//!   when checkpointing is off) — and emits an ordered `Join` record.
+//!   when checkpointing is off) — and, while the host's `Fail` stands,
+//!   emits an ordered `Join` record. That record is how every other
+//!   member learns the host is back.
 //!
 //! Checkpointing and log compaction ([`CheckpointConfig`]): the
 //! coordinator periodically emits an ordered `Checkpoint` marker, so
@@ -187,13 +195,10 @@ pub enum SeqMsg {
         records: Vec<Record>,
     },
     /// Restarted host → all: let me back in. The incarnation nonce is
-    /// drawn once per process; the coordinator orders a `Join` record
-    /// (the boundary that clears the previous incarnation's
-    /// duplicate-suppression state) the first time it sees a given
-    /// nonce, while retried `JoinReq`s from the same incarnation only
-    /// re-send the snapshot. This keeps the boundary exactly-once even
-    /// when the `Fail` record for the old incarnation was lost in
-    /// coordinator-failover churn.
+    /// drawn once per process. A member that still counts the host live
+    /// and has not seen this nonce from it takes the request as a crash
+    /// verdict about the host's previous incarnation; a repeated nonce is
+    /// a retry, which the coordinator answers with the snapshot alone.
     JoinReq {
         /// Per-process random nonce identifying this incarnation.
         incarnation: u64,
@@ -348,7 +353,7 @@ struct State {
     buffered_submits: Vec<(HostId, LocalId, Bytes)>,
     buffered_nacks: Vec<(HostId, u64)>,
     pending_fails: BTreeSet<HostId>,
-    pending_joins: Vec<(HostId, u64)>,
+    pending_joins: BTreeSet<HostId>,
 
     // Group commit (coordinator only). Entries in `batch` already hold
     // assigned sequence numbers `batch_first .. batch_first + len`; they
@@ -400,12 +405,9 @@ struct State {
     // id colliding would require booting twice in the same nanosecond.
     incarnation: u64,
 
-    // Coordinator-side: the last incarnation nonce each host was served
-    // a join for. A JoinReq with a new nonce orders a Join record (the
-    // incarnation boundary) even when the old incarnation's Fail record
-    // was lost in failover churn; a retried JoinReq with the same nonce
-    // only re-sends the snapshot.
-    join_incarnations: BTreeMap<HostId, u64>,
+    // The newest JoinReq nonce seen from each host: a new one is a crash
+    // verdict about the host's previous incarnation, a repeat a retry.
+    join_nonces: HashMap<HostId, u64>,
 
     // True until a member that booted outside the group (a fresh
     // process rejoining a running cluster) completes its first join.
@@ -438,33 +440,28 @@ impl State {
         match ev {
             NetEvent::Msg { from, msg } => {
                 self.last_heard.insert(from, std::time::Instant::now());
-                // A JoinReq from a host we still count as live is itself
-                // a crash notice: the only senders are a fresh incarnation
-                // (the old process is gone) and an evicted member (whose
-                // Fail is already ordered). Run the failure through
-                // `on_crash` *first* so failover / Fail-record machinery
-                // orders the incarnation boundary before the join is
-                // served — without this, the rejoiner's own retried
-                // JoinReqs keep refreshing `last_heard` and the heartbeat
-                // detector never notices the restart.
-                if self.hb.is_some()
-                    && self.joined
-                    && from != self.me
-                    && self.live.contains(&from)
-                    && matches!(msg, SeqMsg::JoinReq { .. })
-                {
-                    self.on_crash(from);
+                // A JoinReq with a nonce new from `from` proves that its
+                // previous incarnation is gone (a restart can beat any
+                // detector). Run that verdict through `on_crash` *first*,
+                // so the Fail and any failover are ordered before the
+                // join is served. A repeated nonce is only a retry.
+                if let SeqMsg::JoinReq { incarnation } = msg {
+                    let new = self.join_nonces.insert(from, incarnation) != Some(incarnation);
+                    if new && self.joined && self.live.contains(&from) {
+                        self.on_crash(from);
+                    }
                 }
                 // An isolation-demoted coordinator (see `on_crash`) that
                 // hears a universe peer again has proof its silence
                 // verdict was wrong: re-admit the peer and re-run the
                 // election sync instead of staying parked forever. The
-                // parked Fail is kept: the peer's previous incarnation
-                // left duplicate-suppression state (`assigned`/`retired`)
-                // behind, and only an ordered Fail → Join pair marks the
-                // incarnation boundary that clears it. A peer that never
-                // actually restarted simply rejoins through the ordinary
-                // eviction path.
+                // peer's Fail stays owed (parked here too, since a
+                // verdict taken before this member led parked none): its
+                // previous incarnation left duplicate-suppression state
+                // (`assigned`/`retired`) behind, and only an ordered
+                // Fail → Join pair marks the incarnation boundary that
+                // clears it. A peer that never actually restarted simply
+                // rejoins through the ordinary eviction path.
                 if self.hb.is_some()
                     && self.joined
                     && self.is_coord()
@@ -474,16 +471,12 @@ impl State {
                     && self.universe.contains(&from)
                 {
                     self.live.insert(from);
+                    self.pending_fails.insert(from);
                     self.begin_sync();
                 }
                 self.on_msg(from, msg)
             }
             NetEvent::CrashNotice(h) => self.on_crash(h),
-            NetEvent::JoinNotice(h) => {
-                if h != self.me {
-                    self.live.insert(h);
-                }
-            }
             NetEvent::Wake => {}
         }
     }
@@ -593,18 +586,16 @@ impl State {
                     self.accept_record(rec);
                 }
             }
-            SeqMsg::JoinReq { incarnation } => {
+            SeqMsg::JoinReq { .. } => {
                 if self.is_coord() && self.coord_synced {
-                    self.serve_join(from, incarnation);
+                    self.serve_join(from);
                 } else if self.is_coord() && self.joined {
-                    // Park until the election sync completes, keeping
-                    // only the newest nonce per host. An *unjoined*
-                    // would-be coordinator (a fresh incarnation of
-                    // `universe[0]` that has not rejoined yet) must not
+                    // Park until the election sync completes. An
+                    // *unjoined* would-be coordinator (a fresh incarnation
+                    // of `universe[0]` that has not rejoined yet) must not
                     // park joins it can never serve — the joiner retries
                     // and the real coordinator answers.
-                    self.pending_joins.retain(|(h, _)| *h != from);
-                    self.pending_joins.push((from, incarnation));
+                    self.pending_joins.insert(from);
                 }
             }
             SeqMsg::Ping {
@@ -689,8 +680,8 @@ impl State {
     /// and re-enter through the ordinary JoinReq → Snapshot path rather
     /// than resuming mid-stream with a stale cursor.
     fn on_evicted(&mut self, from: HostId) {
-        if !self.joined || self.hb.is_none() {
-            return; // already out, or running under the oracle detector
+        if !self.joined {
+            return; // already out
         }
         // Dueling-coordinator arbitration: when a healed partition
         // leaves two synced coordinators evicting each other, the
@@ -1138,22 +1129,19 @@ impl State {
         for h in fails {
             self.emit_fail(h);
         }
-        // Failover churn can lose a Fail: `on_crash` only parks one when
-        // the election lands on *us*, so a failover that named an
-        // already-dead new coordinator drops the record on the floor.
-        // Heartbeat mode expects every universe member to be reachable —
-        // sweep any we cannot hear into Fail records now (dedup'd by
-        // `failed_recorded`); their Join clears them when they return.
-        if self.hb.is_some() {
-            let absent: Vec<HostId> = self
-                .universe
-                .iter()
-                .copied()
-                .filter(|h| *h != self.me && !self.live.contains(h))
-                .collect();
-            for h in absent {
-                self.emit_fail(h);
-            }
+        // Failover churn can lose a Fail: only the coordinator acts on a
+        // member's crash, so one that died before ordering it (or an
+        // election that named an already-dead member) drops it. Sweep
+        // every universe host we do not count live into a Fail record
+        // (dedup'd by `failed_recorded`); its Join clears it on return.
+        let absent: Vec<HostId> = self
+            .universe
+            .iter()
+            .copied()
+            .filter(|h| *h != self.me && !self.live.contains(h))
+            .collect();
+        for h in absent {
+            self.emit_fail(h);
         }
         // Re-inject our own unacked submissions (the old coordinator may
         // have died holding them). `coord_submit` dedups anything that did
@@ -1176,8 +1164,8 @@ impl State {
             self.serve_nack(from, missing);
         }
         let joins = std::mem::take(&mut self.pending_joins);
-        for (j, inc) in joins {
-            self.serve_join(j, inc);
+        for j in joins {
+            self.serve_join(j);
         }
     }
 
@@ -1249,26 +1237,26 @@ impl State {
         self.net.send(self.me, to, snap);
     }
 
-    fn serve_join(&mut self, joiner: HostId, incarnation: u64) {
+    fn serve_join(&mut self, joiner: HostId) {
+        // A synced coordinator has ordered a Fail for every host it does
+        // not count live (`on_crash`, and the sweep in `finish_sync`), so
+        // a joiner outside `live` always gets its Join below.
+        debug_assert!(
+            self.live.contains(&joiner) || self.failed_recorded.contains(&joiner),
+            "{joiner} is neither live nor recorded failed"
+        );
         // Flush before admitting the joiner to the recipient set, so
         // the open batch is not multicast to a host that has no
         // snapshot yet.
         self.flush_batch();
         self.live.insert(joiner);
         self.recipients.insert(joiner);
-        // A Fail parked while we were unsynced must not fire after the
-        // host has been re-admitted.
-        self.pending_fails.remove(&joiner);
         self.send_snapshot(joiner);
-        // A nonce we have not served yet is proof of a fresh incarnation
-        // even when the host's Fail record was lost to failover churn
-        // (e.g. an election that named an already-dead coordinator):
-        // order the Join record — the incarnation boundary that clears
-        // the host's duplicate-suppression state — either way. Only a
-        // retried JoinReq from the incarnation we *already* served skips
-        // the record and just re-sends the snapshot.
-        let served = self.join_incarnations.get(&joiner) == Some(&incarnation);
-        if self.failed_recorded.contains(&joiner) || !served {
+        // The Join record is the incarnation boundary that clears the
+        // host's Fail and its duplicate-suppression state. A retried
+        // JoinReq from the incarnation already admitted finds no Fail
+        // standing and only gets the snapshot again.
+        if self.failed_recorded.contains(&joiner) {
             let rec = Record {
                 seq: self.next_seq,
                 origin: self.me,
@@ -1278,7 +1266,6 @@ impl State {
             self.next_seq += 1;
             self.distribute(rec);
         }
-        self.join_incarnations.insert(joiner, incarnation);
     }
 
     /// Coordinator path for a submission: assign the next sequence number
@@ -1754,7 +1741,7 @@ impl SeqGroup {
             buffered_submits: Vec::new(),
             buffered_nacks: Vec::new(),
             pending_fails: BTreeSet::new(),
-            pending_joins: Vec::new(),
+            pending_joins: BTreeSet::new(),
             batch_cfg: batch,
             batch: Vec::new(),
             batch_enqueued: Vec::new(),
@@ -1781,7 +1768,7 @@ impl SeqGroup {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_nanos() as u64)
                 .unwrap_or(1),
-            join_incarnations: BTreeMap::new(),
+            join_nonces: HashMap::new(),
             fresh_incarnation: !initially_joined,
         }));
         let stop = Arc::new(AtomicBool::new(false));
@@ -2832,6 +2819,123 @@ mod tests {
             "stale records below the contiguous frontier must be pruned"
         );
         assert_logs_converge(&ms[0], &ms[1], Duration::from_secs(3));
+        g.shutdown();
+    }
+
+    /// Records in `m`'s log whose body is `Fail(h)` and `Join(h)`.
+    fn fails_and_joins(m: &SeqMember, h: HostId) -> (usize, usize) {
+        m.log().iter().fold((0, 0), |(f, j), r| match r.body {
+            RecordBody::Fail(x) if x == h => (f + 1, j),
+            RecordBody::Join(x) if x == h => (f, j + 1),
+            _ => (f, j),
+        })
+    }
+
+    /// Whether `m`'s log holds an `App` record carrying `payload`.
+    fn logged(m: &SeqMember, payload: &[u8]) -> bool {
+        m.log()
+            .iter()
+            .any(|r| matches!(&r.body, RecordBody::App(p) if &p[..] == payload))
+    }
+
+    /// Poll until `done` holds, failing with `what` after `within`.
+    fn wait_for(what: &str, within: Duration, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + within;
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// A member crash followed at once by a coordinator crash: only the
+    /// dead coordinator had acted on the member's crash, so the new
+    /// coordinator must order that `Fail` too, next to its predecessor's.
+    #[test]
+    fn member_then_coordinator_crash_orders_one_fail_each() {
+        let (g, ms) = SeqGroup::new(3, NetConfig::instant());
+        ms[1].broadcast(Bytes::from_static(b"warm"));
+        let _ = collect_n(&ms[1], 1, Duration::from_secs(2));
+        g.crash(HostId(2));
+        g.crash(HostId(0));
+        wait_for("both failures ordered", Duration::from_secs(3), || {
+            fails_and_joins(&ms[1], HostId(0)).0 > 0 && fails_and_joins(&ms[1], HostId(2)).0 > 0
+        });
+        // Give a duplicate the time to show up.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(fails_and_joins(&ms[1], HostId(0)), (1, 0));
+        assert_eq!(fails_and_joins(&ms[1], HostId(2)), (1, 0));
+        g.shutdown();
+    }
+
+    /// Heartbeat mode on a link slower than the 5 ms JoinReq retry: the
+    /// restarted member's retried JoinReqs reach the coordinator after
+    /// its join was served, and must not be taken for new crashes.
+    #[test]
+    fn heartbeat_retried_join_orders_one_fail_and_one_join() {
+        let cfg = NetConfig {
+            latency: Duration::from_millis(10),
+            heartbeats: Some(crate::net::Heartbeat {
+                period: Duration::from_millis(5),
+                timeout: Duration::from_millis(100),
+            }),
+            ..NetConfig::default()
+        };
+        let (g, ms) = SeqGroup::new(3, cfg);
+        ms[0].broadcast(Bytes::from_static(b"warm"));
+        wait_for("warm-up delivered", Duration::from_secs(3), || {
+            ms[2].delivered_count() >= 1
+        });
+        g.crash(HostId(2));
+        wait_for("crash detected", Duration::from_secs(3), || {
+            fails_and_joins(&ms[0], HostId(2)).0 > 0
+        });
+        let m2 = g.restart(HostId(2));
+        m2.broadcast(Bytes::from_static(b"back"));
+        wait_for(
+            "rejoined member's broadcast",
+            Duration::from_secs(5),
+            || logged(&ms[0], b"back"),
+        );
+        // Let every JoinReq round still on the wire arrive.
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(fails_and_joins(&ms[0], HostId(2)), (1, 1));
+        assert_logs_converge(&ms[0], &m2, Duration::from_secs(3));
+        g.shutdown();
+    }
+
+    /// Heartbeat mode: the coordinator and a member crash, and the member
+    /// restarts before the survivor's detector fires. The survivor takes
+    /// its JoinReq as a crash verdict while still following the dead
+    /// coordinator, then declares that one silent, parks as an isolated
+    /// coordinator and re-admits the member when its next JoinReq
+    /// arrives. The member must still get a Fail and a Join: the Join
+    /// is the boundary that lets its new incarnation's submits through.
+    #[test]
+    fn heartbeat_readmitted_member_gets_fail_and_join() {
+        let cfg = NetConfig {
+            latency: Duration::from_micros(100),
+            heartbeats: Some(crate::net::Heartbeat {
+                period: Duration::from_millis(5),
+                timeout: Duration::from_millis(100),
+            }),
+            ..NetConfig::default()
+        };
+        let (g, ms) = SeqGroup::new(3, cfg);
+        ms[1].broadcast(Bytes::from_static(b"old"));
+        wait_for("warm-up delivered", Duration::from_secs(3), || {
+            ms[2].delivered_count() >= 1
+        });
+        g.crash(HostId(0));
+        g.crash(HostId(1));
+        let m1 = g.restart(HostId(1));
+        m1.broadcast(Bytes::from_static(b"new"));
+        wait_for(
+            "new incarnation's broadcast",
+            Duration::from_secs(5),
+            || logged(&ms[2], b"new"),
+        );
+        assert_eq!(fails_and_joins(&ms[2], HostId(0)), (1, 0));
+        assert_eq!(fails_and_joins(&ms[2], HostId(1)), (1, 1));
         g.shutdown();
     }
 

@@ -23,9 +23,9 @@
 //!   owns and joins every mesh thread.
 //!
 //! Failure detection is the sequencer's heartbeat mode ([`Heartbeat`]):
-//! the mesh never synthesizes `CrashNotice`/`JoinNotice` events, it only
-//! delivers `NetEvent::Msg` (plus the local `NetEvent::Wake` a lane's own
-//! member pushes to itself).
+//! the mesh never synthesizes `CrashNotice` events, it only delivers
+//! `NetEvent::Msg` (plus the local `NetEvent::Wake` a lane's own member
+//! pushes to itself).
 
 use crate::net::{Heartbeat, HostId, NetEvent};
 use crate::sequencer::SeqMsg;
