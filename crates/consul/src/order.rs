@@ -253,20 +253,6 @@ impl Delivery {
     }
 }
 
-/// Which total-order protocol a group runs (ablation A1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Protocol {
-    /// Fixed-sequencer with coordinator failover: one extra hop to the
-    /// sequencer, constant message cost, survives crashes. The default,
-    /// and the protocol used by the FT-Linda runtime.
-    #[default]
-    Sequencer,
-    /// ISIS-style agreed timestamps: no coordinator, two phases, higher
-    /// message cost. Implemented for failure-free operation only (used by
-    /// the ordering ablation benchmark).
-    Isis,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

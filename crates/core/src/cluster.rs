@@ -525,7 +525,6 @@ impl Cluster {
                             let first = group[0].1;
                             if group.iter().any(|(_, d)| *d != first) {
                                 reported.insert((shard, seq));
-                                divergences.inc();
                                 let mut fields = vec![
                                     ("shard".to_string(), shard.to_string()),
                                     ("seq".to_string(), seq.to_string()),
@@ -533,9 +532,12 @@ impl Cluster {
                                 for (h, d) in &group {
                                     fields.push((format!("digest_h{}", h.0), format!("{d:#x}")));
                                 }
+                                // Event first: a reader that sees the
+                                // counter move must find the event too.
                                 view.obs
                                     .events()
                                     .emit(linda_obs::Event::new("digest_divergence", fields));
+                                divergences.inc();
                             }
                         }
                     }
