@@ -30,7 +30,10 @@
 //!   count live, so a `Fail` its dead predecessor never ordered is not
 //!   lost.
 //! * **Gaps** — a member receiving a record beyond its contiguous prefix
-//!   NACKs the coordinator, which retransmits from its complete log.
+//!   NACKs the coordinator, which retransmits from its complete log. A
+//!   lost tail of the stream leaves no later record to show the gap, so
+//!   every `Ping` also carries its sender's contiguous `last_seq`: a
+//!   member behind its coordinator's ping NACKs too, once per ping.
 //! * **Restart** — the rejoining host broadcasts `JoinReq` (with retry);
 //!   the coordinator replies with a `Snapshot` — the latest installed
 //!   state checkpoint plus only the log tail past it (or the full log
@@ -49,8 +52,17 @@
 //! `assigned` map to a compact per-origin `retired` watermark, and a
 //! NACK for a compacted sequence number is answered with a full
 //! snapshot instead of a retransmission.
+//!
+//! The protocol itself is a pure core, `State`: it performs no I/O and
+//! reads no clock. Its inputs — a peer message or detector verdict, a
+//! timer tick, a local submit — take the time from the caller, and its
+//! sends and deliveries queue as outputs. Two callers run it under the
+//! member's lock and pass the outputs on in the order they were made:
+//! the member's `seq-` thread, for inbox events and timers, and
+//! [`SeqMember::broadcast`], for submits. The delivery stream ends when
+//! the `seq-` thread exits.
 
-use crate::net::{HostId, NetConfig, NetEvent, SimNet, WireSized};
+use crate::net::{Heartbeat, HostId, NetConfig, NetEvent, SimNet, WireSized};
 use crate::order::{BatchEntry, CheckpointImage, Delivery, LocalId, Record, RecordBody};
 use crate::stats::OrderStats;
 use crate::tcp::TcpLane;
@@ -218,6 +230,9 @@ pub enum SeqMsg {
         /// Microseconds the sender held that ping before echoing it
         /// (receipt → this send), subtracted out of the RTT.
         held_us: u64,
+        /// The sender's contiguous `last_seq`. A member that has
+        /// delivered less than its coordinator says NACKs it.
+        seq: u64,
     },
     /// Coordinator → joiner (or → a member that fell behind the
     /// compaction watermark): state checkpoint plus the log tail past
@@ -267,7 +282,7 @@ impl WireSized for SeqMsg {
                 1 + records.iter().map(Record::wire_size).sum::<usize>()
             }
             SeqMsg::JoinReq { .. } => 9,
-            SeqMsg::Ping { .. } => 1 + 21,
+            SeqMsg::Ping { .. } => 1 + 29,
             SeqMsg::Evicted => 1,
             SeqMsg::Snapshot {
                 checkpoint,
@@ -286,9 +301,23 @@ impl WireSized for SeqMsg {
     }
 }
 
-/// The full per-member protocol state machine. All methods assume the
-/// member's lock is held; network sends from inside are safe (the router
-/// never takes member locks).
+/// What [`State`] asks its caller to do. Outputs queue in the order the
+/// state decided them; passing them on in that order keeps every link
+/// FIFO and the delivery stream in sequence order.
+enum Output {
+    /// Point-to-point send.
+    Send(HostId, SeqMsg),
+    /// One message to each of several hosts.
+    Multicast(Vec<HostId>, SeqMsg),
+    /// The next entry of the member's delivery stream.
+    Deliver(Delivery),
+}
+
+/// The full per-member protocol state machine, free of I/O: its inputs
+/// ([`State::on_event`], [`State::on_timers`], [`State::submit`]) take
+/// the time from their caller, and it queues its sends and deliveries
+/// in `out` instead of performing them. Its callers hold the member's
+/// lock.
 struct State {
     me: HostId,
     universe: Vec<HostId>,
@@ -296,8 +325,10 @@ struct State {
     coord: HostId,
     joined: bool,
 
-    net: SeqNet,
-    dtx: crossbeam::channel::Sender<Delivery>,
+    /// Outputs its caller has not taken yet.
+    out: Vec<Output>,
+    /// The caller's clock for the input being handled.
+    now: Instant,
     stats: Arc<OrderStats>,
     /// Broadcast → total-order self-delivery latency (the "order" stage
     /// of the AGS lifecycle).
@@ -373,9 +404,9 @@ struct State {
     batch_flush_hist: Arc<linda_obs::Histogram>,
 
     // Heartbeat failure detection (None = oracle notices from SimNet).
-    hb: Option<crate::net::Heartbeat>,
-    last_heard: HashMap<HostId, std::time::Instant>,
-    last_ping: std::time::Instant,
+    hb: Option<Heartbeat>,
+    last_heard: HashMap<HostId, Instant>,
+    last_ping: Instant,
     /// Newest ping received per peer: its `sent_us` plus when it
     /// arrived, echoed back on our next heartbeat (RTT piggyback).
     ping_rx: HashMap<HostId, (u64, Instant)>,
@@ -398,11 +429,9 @@ struct State {
     // SyncQuery is re-sent on this schedule. On a lossy transport (a TCP
     // link mid-reconnect drops sends) the one-shot query can vanish, and
     // nothing else would ever unpark the sync.
-    next_sync_retry: std::time::Instant,
+    next_sync_retry: Instant,
 
-    // This process's incarnation nonce, carried on every JoinReq. Drawn
-    // from the clock at construction; two incarnations of the same host
-    // id colliding would require booting twice in the same nanosecond.
+    // This process's incarnation nonce, carried on every JoinReq.
     incarnation: u64,
 
     // The newest JoinReq nonce seen from each host: a new one is a crash
@@ -420,6 +449,124 @@ struct State {
 }
 
 impl State {
+    /// A member of `universe` at `now`, whose instruments register in
+    /// `obs`. `incarnation` is the nonce its JoinReqs carry.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        me: HostId,
+        universe: &[HostId],
+        initially_joined: bool,
+        batch: BatchConfig,
+        ckpt: CheckpointConfig,
+        local_base: u64,
+        hb: Option<Heartbeat>,
+        stats: Arc<OrderStats>,
+        obs: &linda_obs::Registry,
+        incarnation: u64,
+        now: Instant,
+    ) -> State {
+        let live: BTreeSet<HostId> = universe.iter().copied().collect();
+        let order_hist = obs.histogram(
+            "ftlinda_ags_order_seconds",
+            "Broadcast to total-order self-delivery latency",
+        );
+        let batch_size_hist = obs.histogram_with(
+            "ftlinda_batch_size",
+            "Submits coalesced per ordered multicast",
+            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
+        );
+        let batch_flush_hist =
+            obs.histogram("ftlinda_batch_flush_seconds", "Batch open-to-flush latency");
+        let rtt_hist = obs.histogram_family(
+            "ftlinda_net_rtt_seconds",
+            "Wire round-trip latency per peer, from the heartbeat RTT piggyback",
+        );
+        obs.gauge_merged(
+            "ftlinda_batch_max_bytes",
+            "Byte threshold that force-flushes an open batch (0 = no byte trigger)",
+            linda_obs::GaugeMerge::Max,
+        )
+        .set(if batch.enabled() {
+            batch.max_bytes as i64
+        } else {
+            0
+        });
+        let rejoin_attempts = obs.counter(
+            "ftlinda_rejoin_attempts_total",
+            "JoinReq rounds sent while outside the group",
+        );
+        State {
+            me,
+            universe: universe.to_vec(),
+            live: live.clone(),
+            coord: universe[0],
+            joined: initially_joined,
+            out: Vec::new(),
+            now,
+            stats,
+            order_hist,
+            broadcast_at: HashMap::new(),
+            spans: obs.spans_handle(),
+            events: obs.events_handle(),
+            log: Vec::new(),
+            log_base: 0,
+            checkpoint: None,
+            retired: HashMap::new(),
+            ckpt_cfg: ckpt,
+            buffer: BTreeMap::new(),
+            pending_submits: BTreeMap::new(),
+            next_local: local_base + 1,
+            nacked_for: None,
+            failed_recorded: BTreeSet::new(),
+            ba_inserts: 0,
+            ba_removes: 0,
+            coord_synced: initially_joined && me == universe[0],
+            next_seq: 1,
+            assigned: HashMap::new(),
+            last_marker: 0,
+            recipients: live,
+            sync_waiting: BTreeSet::new(),
+            sync_records: BTreeMap::new(),
+            sync_checkpoint: None,
+            sync_retired: Vec::new(),
+            sync_failed: Vec::new(),
+            buffered_submits: Vec::new(),
+            buffered_nacks: Vec::new(),
+            pending_fails: BTreeSet::new(),
+            pending_joins: BTreeSet::new(),
+            batch_cfg: batch,
+            batch: Vec::new(),
+            batch_enqueued: Vec::new(),
+            batch_bytes: 0,
+            batch_first: 0,
+            // Start "long idle" so the very first submit flushes solo.
+            last_flush: now.checked_sub(batch.window).unwrap_or(now),
+            batch_size_hist,
+            batch_flush_hist,
+            hb,
+            last_heard: universe.iter().map(|h| (*h, now)).collect(),
+            last_ping: now,
+            ping_rx: HashMap::new(),
+            rtt_hist,
+            next_join_at: now,
+            join_rounds: 0,
+            rejoin_error: None,
+            rejoin_attempts,
+            next_sync_retry: now,
+            incarnation,
+            join_nonces: HashMap::new(),
+            fresh_incarnation: !initially_joined,
+        }
+    }
+
+    fn send(&mut self, to: HostId, msg: SeqMsg) {
+        self.out.push(Output::Send(to, msg));
+    }
+
+    fn deliver(&mut self, d: Delivery) {
+        self.out.push(Output::Deliver(d));
+    }
+
     fn is_coord(&self) -> bool {
         self.coord == self.me
     }
@@ -436,10 +583,28 @@ impl State {
             .and_then(|i| self.log.get(i as usize))
     }
 
-    fn on_event(&mut self, ev: NetEvent<SeqMsg>) {
+    /// A local broadcast: allocate its local id, keep it until it is
+    /// delivered, and order it here or send it to the coordinator.
+    fn submit(&mut self, payload: Bytes, now: Instant) -> LocalId {
+        self.now = now;
+        let local = self.next_local;
+        self.next_local += 1;
+        self.pending_submits.insert(local, payload.clone());
+        self.broadcast_at.insert(local, now);
+        self.ba_inserts += 1;
+        if self.is_coord() {
+            self.coord_submit(self.me, local, payload);
+        } else {
+            self.send(self.coord, SeqMsg::Submit { local, payload });
+        }
+        local
+    }
+
+    fn on_event(&mut self, ev: NetEvent<SeqMsg>, now: Instant) {
+        self.now = now;
         match ev {
             NetEvent::Msg { from, msg } => {
-                self.last_heard.insert(from, std::time::Instant::now());
+                self.last_heard.insert(from, now);
                 // A JoinReq with a nonce new from `from` proves that its
                 // previous incarnation is gone (a restart can beat any
                 // detector). Run that verdict through `on_crash` *first*,
@@ -500,7 +665,7 @@ impl State {
                 SeqMsg::Submit { .. } | SeqMsg::Nack { .. } | SeqMsg::Ping { .. }
             )
         {
-            self.net.send(self.me, from, SeqMsg::Evicted);
+            self.send(from, SeqMsg::Evicted);
             return;
         }
         match msg {
@@ -528,7 +693,7 @@ impl State {
                         failed: self.failed_recorded.iter().copied().collect(),
                         records: self.log.clone(),
                     };
-                    self.net.send(self.me, from, reply);
+                    self.send(from, reply);
                 } else {
                     let start = (have - self.log_base) as usize;
                     let records = self.log.get(start..).map(<[Record]>::to_vec);
@@ -538,7 +703,7 @@ impl State {
                         failed: Vec::new(),
                         records: records.unwrap_or_default(),
                     };
-                    self.net.send(self.me, from, reply);
+                    self.send(from, reply);
                 }
                 // If we already follow the elect, our detector fired
                 // before its own, and the elect dropped the resubmit we
@@ -602,11 +767,12 @@ impl State {
                 sent_us,
                 echo_us,
                 held_us,
+                seq,
             } => {
                 // Remember this ping so our next heartbeat echoes it
                 // back, and close the loop on any echo of our own: the
                 // round-trip is measured entirely against our clock.
-                self.ping_rx.insert(from, (sent_us, Instant::now()));
+                self.ping_rx.insert(from, (sent_us, self.now));
                 if echo_us != 0 {
                     let rtt_us = linda_obs::now_micros()
                         .saturating_sub(echo_us)
@@ -614,6 +780,18 @@ impl State {
                     self.rtt_hist
                         .with(&[("peer", &from.to_string())])
                         .observe_seconds(rtt_us as f64 / 1e6);
+                }
+                // Records lost at the tail of the stream leave no gap for
+                // `accept_record` to see. The coordinator's ping follows
+                // every record it sent us on the same FIFO link, so being
+                // behind it means records were lost, not that they are on
+                // their way (a peer's ping could overtake them): ask again,
+                // once per ping while behind.
+                if self.joined && !self.is_coord() && from == self.coord && seq > self.last_seq() {
+                    let expected = self.last_seq() + 1;
+                    self.nacked_for = Some(expected);
+                    self.stats.record_retransmit();
+                    self.send(from, SeqMsg::Nack { from: expected });
                 }
             }
             SeqMsg::Snapshot {
@@ -717,9 +895,9 @@ impl State {
         self.coord_synced = false;
         self.joined = false;
         self.coord = from;
-        self.next_join_at = Instant::now();
+        self.next_join_at = self.now;
         self.join_rounds = 0;
-        let _ = self.dtx.send(Delivery::Evicted {
+        self.deliver(Delivery::Evicted {
             seq: self.last_seq(),
         });
     }
@@ -744,11 +922,10 @@ impl State {
             .filter(|p| *p != self.me)
             .collect();
         let have = self.last_seq();
-        let peers: Vec<HostId> = self.sync_waiting.iter().copied().collect();
-        for p in peers {
-            self.net.send(self.me, p, SeqMsg::SyncQuery { have });
+        for &p in &self.sync_waiting {
+            self.out.push(Output::Send(p, SeqMsg::SyncQuery { have }));
         }
-        self.next_sync_retry = std::time::Instant::now() + Self::SYNC_RETRY;
+        self.next_sync_retry = self.now + Self::SYNC_RETRY;
         if self.sync_waiting.is_empty() {
             // Heartbeat detection is fallible: a coordinator that just
             // declared *everyone* else silent is more likely isolated
@@ -790,9 +967,7 @@ impl State {
             if self.nacked_for != Some(expected) {
                 self.nacked_for = Some(expected);
                 self.stats.record_retransmit();
-                let coord = self.coord;
-                self.net
-                    .send(self.me, coord, SeqMsg::Nack { from: expected });
+                self.send(self.coord, SeqMsg::Nack { from: expected });
             }
             return;
         }
@@ -826,7 +1001,8 @@ impl State {
                     self.pending_submits.remove(&rec.local);
                     if let Some(t0) = self.broadcast_at.remove(&rec.local) {
                         self.ba_removes += 1;
-                        self.order_hist.observe(t0.elapsed());
+                        self.order_hist
+                            .observe(self.now.saturating_duration_since(t0));
                     }
                     debug_assert_eq!(
                         self.ba_inserts,
@@ -855,7 +1031,7 @@ impl State {
                 // after the Join would evict the host we just served.
                 self.pending_fails.remove(h);
                 self.live.insert(*h);
-                self.last_heard.insert(*h, std::time::Instant::now());
+                self.last_heard.insert(*h, self.now);
                 // A Join starts a fresh incarnation whose local ids
                 // restart from 1: duplicate-suppression state from the
                 // previous incarnation must not shadow its submissions.
@@ -873,7 +1049,7 @@ impl State {
         let delivery = Delivery::from_record(&rec);
         self.log.push(rec);
         self.stats.record_delivery();
-        let _ = self.dtx.send(delivery);
+        self.deliver(delivery);
     }
 
     /// The earliest instant a timer of [`State::on_timers`] falls due:
@@ -905,6 +1081,7 @@ impl State {
     /// thread after each inbox event and whenever [`State::next_due`]
     /// passes.
     fn on_timers(&mut self, now: Instant) {
+        self.now = now;
         if self.batch_deadline().is_some_and(|d| now >= d) {
             self.flush_batch();
             self.maybe_mark_checkpoint();
@@ -918,11 +1095,9 @@ impl State {
         if self.sync_pending() && now >= self.next_sync_retry {
             self.next_sync_retry = now + Self::SYNC_RETRY;
             let have = self.last_seq();
-            let me = self.me;
-            let peers: Vec<HostId> = self.sync_waiting.iter().copied().collect();
-            for p in peers {
+            for &p in &self.sync_waiting {
                 self.stats.record_retransmit();
-                self.net.send(me, p, SeqMsg::SyncQuery { have });
+                self.out.push(Output::Send(p, SeqMsg::SyncQuery { have }));
             }
         }
         // Heartbeat mode, joined members only: send periodic pings and
@@ -932,25 +1107,24 @@ impl State {
         };
         if now.duration_since(self.last_ping) >= hb.period {
             self.last_ping = now;
-            let me = self.me;
-            let peers: Vec<HostId> = self.universe.iter().copied().filter(|p| *p != me).collect();
+            let seq = self.last_seq();
             // Per-peer sends rather than one multicast: each ping echoes
             // the newest ping *from that peer*, closing the RTT loop.
-            for p in peers {
+            for &p in self.universe.iter().filter(|p| **p != self.me) {
                 let (echo_us, held_us) = self
                     .ping_rx
                     .get(&p)
-                    .map(|(sent, at)| (*sent, at.elapsed().as_micros() as u64))
+                    .map(|(sent, at)| {
+                        (*sent, now.saturating_duration_since(*at).as_micros() as u64)
+                    })
                     .unwrap_or((0, 0));
-                self.net.send(
-                    me,
-                    p,
-                    SeqMsg::Ping {
-                        sent_us: linda_obs::now_micros(),
-                        echo_us,
-                        held_us,
-                    },
-                );
+                let ping = SeqMsg::Ping {
+                    sent_us: linda_obs::now_micros(),
+                    echo_us,
+                    held_us,
+                    seq,
+                };
+                self.out.push(Output::Send(p, ping));
             }
         }
         let silent: Vec<HostId> = self
@@ -995,19 +1169,19 @@ impl State {
         self.rejoin_attempts.inc();
         let incarnation = self.incarnation;
         let peers: Vec<HostId> = self.universe.iter().copied().filter(|p| *p != me).collect();
-        self.net
-            .multicast(me, &peers, SeqMsg::JoinReq { incarnation });
+        self.out
+            .push(Output::Multicast(peers, SeqMsg::JoinReq { incarnation }));
     }
 
     /// Re-send every unacked broadcast to `to`, the (elected)
     /// coordinator. It dedups on `(origin, local)`, so a copy that was
     /// already ordered is answered with a retransmission instead.
-    fn resubmit_pending(&self, to: HostId) {
+    fn resubmit_pending(&mut self, to: HostId) {
         for (&local, payload) in &self.pending_submits {
             self.stats.record_retransmit();
             let payload = payload.clone();
-            self.net
-                .send(self.me, to, SeqMsg::Submit { local, payload });
+            self.out
+                .push(Output::Send(to, SeqMsg::Submit { local, payload }));
         }
     }
 
@@ -1201,7 +1375,7 @@ impl State {
         if let Some(tail) = self.log.get(start..) {
             if !tail.is_empty() {
                 let records = tail.to_vec();
-                self.net.send(self.me, from, SeqMsg::Retransmit { records });
+                self.send(from, SeqMsg::Retransmit { records });
             }
         }
     }
@@ -1234,7 +1408,7 @@ impl State {
             tail,
             live: self.live.iter().copied().collect(),
         };
-        self.net.send(self.me, to, snap);
+        self.send(to, snap);
     }
 
     fn serve_join(&mut self, joiner: HostId) {
@@ -1289,8 +1463,7 @@ impl State {
             if origin != self.me {
                 if let Some(rec) = self.rec_at(seq).cloned() {
                     self.stats.record_retransmit();
-                    self.net
-                        .send(self.me, origin, SeqMsg::Retransmit { records: vec![rec] });
+                    self.send(origin, SeqMsg::Retransmit { records: vec![rec] });
                 } else if seq <= self.log_base {
                     // Assigned but compacted (the entry outlived a
                     // truncation only transiently): answer with a full
@@ -1319,7 +1492,7 @@ impl State {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.assigned.insert((origin, local), seq);
-        let now = Instant::now();
+        let now = self.now;
         if self.batch.is_empty() {
             if now.duration_since(self.last_flush) >= self.batch_cfg.window {
                 // Idle coordinator: flush solo immediately, so batching
@@ -1384,7 +1557,7 @@ impl State {
         let entries = std::mem::take(&mut self.batch);
         let enqueued = std::mem::take(&mut self.batch_enqueued);
         self.batch_bytes = 0;
-        let now = Instant::now();
+        let now = self.now;
         self.last_flush = now;
         if let Some(opened) = enqueued.first() {
             self.batch_flush_hist.observe(now.duration_since(*opened));
@@ -1432,7 +1605,8 @@ impl State {
             .copied()
             .filter(|h| *h != me)
             .collect();
-        self.net.multicast(me, &dests, SeqMsg::Ordered(rec.clone()));
+        self.out
+            .push(Output::Multicast(dests, SeqMsg::Ordered(rec.clone())));
         self.accept_record(rec);
     }
 
@@ -1489,7 +1663,7 @@ impl State {
         self.buffer = self.buffer.split_off(&(cp.seq + 1));
         self.log.clear();
         self.log_base = cp.seq;
-        let _ = self.dtx.send(Delivery::Restore { image: cp.clone() });
+        self.deliver(Delivery::Restore { image: cp.clone() });
         self.checkpoint = Some(cp);
     }
 
@@ -1524,13 +1698,43 @@ impl State {
     }
 }
 
+/// Where a member's [`State`] outputs go: the transport, and the sending
+/// end of the delivery stream.
+struct Io {
+    me: HostId,
+    net: SeqNet,
+    /// Taken when the member's protocol thread exits, which ends the
+    /// delivery stream for the application.
+    dtx: Mutex<Option<crossbeam::channel::Sender<Delivery>>>,
+}
+
+impl Io {
+    /// Pass on `st`'s queued outputs in the order they were produced.
+    /// Called with `st`'s lock held, so the outputs of the protocol
+    /// thread and of [`SeqMember::broadcast`] never interleave.
+    fn dispatch(&self, st: &mut State) {
+        let dtx = self.dtx.lock();
+        for out in st.out.drain(..) {
+            match out {
+                Output::Send(to, msg) => self.net.send(self.me, to, msg),
+                Output::Multicast(to, msg) => self.net.multicast(self.me, &to, msg),
+                Output::Deliver(d) => {
+                    if let Some(tx) = dtx.as_ref() {
+                        let _ = tx.send(d);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Handle to one member of a sequencer group. The protocol runs on a
 /// dedicated thread; [`SeqMember::broadcast`] may be called from any
 /// thread; ordered deliveries arrive on the channel returned by
-/// [`SeqMember::deliveries`].
+/// [`SeqMember::deliveries`], which disconnects once the protocol
+/// thread has exited.
 pub struct SeqMember {
-    me: HostId,
-    net: SeqNet,
+    io: Arc<Io>,
     state: Arc<Mutex<State>>,
     deliveries: crossbeam::channel::Receiver<Delivery>,
     stats: Arc<OrderStats>,
@@ -1670,111 +1874,34 @@ impl SeqGroup {
         local_base: u64,
     ) -> SeqMember {
         let (dtx, drx) = crossbeam::channel::unbounded();
-        let live: BTreeSet<HostId> = universe.iter().copied().collect();
         let obs = Arc::new(linda_obs::Registry::new());
-        let order_hist = obs.histogram(
-            "ftlinda_ags_order_seconds",
-            "Broadcast to total-order self-delivery latency",
-        );
-        let batch_size_hist = obs.histogram_with(
-            "ftlinda_batch_size",
-            "Submits coalesced per ordered multicast",
-            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
-        );
-        let batch_flush_hist =
-            obs.histogram("ftlinda_batch_flush_seconds", "Batch open-to-flush latency");
-        let rtt_hist = obs.histogram_family(
-            "ftlinda_net_rtt_seconds",
-            "Wire round-trip latency per peer, from the heartbeat RTT piggyback",
-        );
-        obs.gauge_merged(
-            "ftlinda_batch_max_bytes",
-            "Byte threshold that force-flushes an open batch (0 = no byte trigger)",
-            linda_obs::GaugeMerge::Max,
-        )
-        .set(if batch.enabled() {
-            batch.max_bytes as i64
-        } else {
-            0
-        });
-        let rejoin_attempts = obs.counter(
-            "ftlinda_rejoin_attempts_total",
-            "JoinReq rounds sent while outside the group",
-        );
-        let hb = net.heartbeats();
-        let now = Instant::now();
-        let state = Arc::new(Mutex::new(State {
+        // Drawn from the clock; two incarnations of the same host id
+        // colliding would require booting twice in the same nanosecond.
+        let incarnation = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(1);
+        let state = Arc::new(Mutex::new(State::new(
             me,
-            universe: universe.to_vec(),
-            live: live.clone(),
-            coord: universe[0],
-            joined: initially_joined,
-            net: net.clone(),
-            dtx,
-            stats: stats.clone(),
-            order_hist,
-            broadcast_at: HashMap::new(),
-            spans: obs.spans_handle(),
-            events: obs.events_handle(),
-            log: Vec::new(),
-            log_base: 0,
-            checkpoint: None,
-            retired: HashMap::new(),
-            ckpt_cfg: ckpt,
-            buffer: BTreeMap::new(),
-            pending_submits: BTreeMap::new(),
-            next_local: local_base + 1,
-            nacked_for: None,
-            failed_recorded: BTreeSet::new(),
-            ba_inserts: 0,
-            ba_removes: 0,
-            coord_synced: initially_joined && me == universe[0],
-            next_seq: 1,
-            assigned: HashMap::new(),
-            last_marker: 0,
-            recipients: live,
-            sync_waiting: BTreeSet::new(),
-            sync_records: BTreeMap::new(),
-            sync_checkpoint: None,
-            sync_retired: Vec::new(),
-            sync_failed: Vec::new(),
-            buffered_submits: Vec::new(),
-            buffered_nacks: Vec::new(),
-            pending_fails: BTreeSet::new(),
-            pending_joins: BTreeSet::new(),
-            batch_cfg: batch,
-            batch: Vec::new(),
-            batch_enqueued: Vec::new(),
-            batch_bytes: 0,
-            batch_first: 0,
-            // Start "long idle" so the very first submit flushes solo.
-            last_flush: now.checked_sub(batch.window).unwrap_or(now),
-            batch_size_hist,
-            batch_flush_hist,
-            hb,
-            last_heard: universe
-                .iter()
-                .map(|h| (*h, std::time::Instant::now()))
-                .collect(),
-            last_ping: std::time::Instant::now(),
-            ping_rx: HashMap::new(),
-            rtt_hist,
-            next_join_at: now,
-            join_rounds: 0,
-            rejoin_error: None,
-            rejoin_attempts,
-            next_sync_retry: std::time::Instant::now(),
-            incarnation: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(1),
-            join_nonces: HashMap::new(),
-            fresh_incarnation: !initially_joined,
-        }));
-        let stop = Arc::new(AtomicBool::new(false));
-        let member = SeqMember {
+            universe,
+            initially_joined,
+            batch,
+            ckpt,
+            local_base,
+            net.heartbeats(),
+            stats.clone(),
+            &obs,
+            incarnation,
+            Instant::now(),
+        )));
+        let io = Arc::new(Io {
             me,
             net,
+            dtx: Mutex::new(Some(dtx)),
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let member = SeqMember {
+            io: io.clone(),
             state: state.clone(),
             deliveries: drx,
             stats,
@@ -1798,15 +1925,17 @@ impl SeqGroup {
                         break;
                     }
                     let mut st = state.lock();
+                    let now = Instant::now();
                     match ev {
-                        Ok(ev) => st.on_event(ev),
+                        Ok(ev) => st.on_event(ev, now),
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
-                    let now = Instant::now();
                     st.on_timers(now);
+                    io.dispatch(&mut st);
                     due = st.next_due(now);
                 }
+                io.dtx.lock().take();
             })
             .expect("spawn member");
         member
@@ -1889,7 +2018,7 @@ impl SeqGroup {
 impl SeqMember {
     /// This member's host id.
     pub fn host(&self) -> HostId {
-        self.me
+        self.io.me
     }
 
     /// Submit a payload for totally-ordered delivery to every member.
@@ -1898,39 +2027,34 @@ impl SeqMember {
     pub fn broadcast(&self, payload: Bytes) -> LocalId {
         self.stats.record_broadcast();
         let mut st = self.state.lock();
-        let local = st.next_local;
-        st.next_local += 1;
-        st.pending_submits.insert(local, payload.clone());
-        st.broadcast_at.insert(local, Instant::now());
-        st.ba_inserts += 1;
-        if st.is_coord() {
-            let me = st.me;
-            let was_open = !st.batch.is_empty();
-            st.coord_submit(me, local, payload);
-            let opened = !was_open && !st.batch.is_empty();
-            drop(st);
-            if opened {
-                // The batch deadline is now the member thread's earliest
-                // timer, and that thread may be asleep until a later one.
-                self.net.wake(me);
-            }
-        } else {
-            let (me, coord) = (st.me, st.coord);
-            drop(st);
-            self.net.send(me, coord, SeqMsg::Submit { local, payload });
+        let now = Instant::now();
+        let due = st.next_due(now);
+        let local = st.submit(payload, now);
+        self.io.dispatch(&mut st);
+        let earlier = st
+            .next_due(now)
+            .is_some_and(|d| due.is_none_or(|was| d < was));
+        drop(st);
+        if earlier {
+            // A timer (the deadline of the batch this submit opened) now
+            // falls due before the member thread planned to wake.
+            self.io.net.wake(self.io.me);
         }
         local
     }
 
-    /// The ordered delivery stream.
+    /// The ordered delivery stream. It disconnects once the member's
+    /// protocol thread has exited: after [`SeqMember::stop`], or when a
+    /// Sim restart of this host replaces the member's inbox.
     pub fn deliveries(&self) -> &crossbeam::channel::Receiver<Delivery> {
         &self.deliveries
     }
 
-    /// Stop this member's protocol thread (teardown).
+    /// Stop this member's protocol thread (teardown), which ends its
+    /// delivery stream.
     pub fn stop(&self) {
         self.stop.store(true, AtomicOrdering::Relaxed);
-        self.net.wake(self.me);
+        self.io.net.wake(self.io.me);
     }
 
     /// Number of records this member has delivered (or skipped past via a
@@ -2003,7 +2127,9 @@ impl SeqMember {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::cell::RefCell;
+    use std::collections::{HashSet, VecDeque};
+    use std::rc::Rc;
     use std::time::Instant;
 
     fn drain_until<F: FnMut(&Delivery) -> bool>(
@@ -2983,5 +3109,236 @@ mod tests {
             }
         }
         g.shutdown();
+    }
+
+    /// Step harness: `n` members' [`State`]s on a virtual clock, with no
+    /// threads and no sleeps. Each link is a FIFO queue, and `lose`
+    /// decides per message whether its link drops it. Messages move only
+    /// in [`Steps::run`], time only in [`Steps::advance`].
+    struct Steps {
+        now: Instant,
+        members: Vec<State>,
+        crashed: Vec<bool>,
+        links: BTreeMap<(HostId, HostId), VecDeque<SeqMsg>>,
+        delivered: Vec<Vec<Delivery>>,
+        lose: Loss,
+    }
+
+    /// Whether the link `from → to` loses this message.
+    type Loss = Box<dyn FnMut(HostId, HostId, &SeqMsg) -> bool>;
+
+    impl Steps {
+        /// `n` founding members with host 0 as coordinator and
+        /// checkpoints off. Crashes are detected by heartbeats when `hb`
+        /// is set, else by the oracle's notice (see [`Steps::crash`]).
+        fn new(n: u32, hb: Option<Heartbeat>) -> Steps {
+            let now = Instant::now();
+            let universe: Vec<HostId> = (0..n).map(HostId).collect();
+            let stats = Arc::new(OrderStats::default());
+            let members = universe
+                .iter()
+                .map(|&h| {
+                    State::new(
+                        h,
+                        &universe,
+                        true,
+                        BatchConfig::default(),
+                        CheckpointConfig::disabled(),
+                        0,
+                        hb,
+                        stats.clone(),
+                        &linda_obs::Registry::new(),
+                        u64::from(h.0) + 1,
+                        now,
+                    )
+                })
+                .collect();
+            Steps {
+                now,
+                members,
+                crashed: vec![false; n as usize],
+                links: BTreeMap::new(),
+                delivered: vec![Vec::new(); n as usize],
+                lose: Box::new(|_, _, _| false),
+            }
+        }
+
+        fn live(&self) -> Vec<HostId> {
+            (0..self.members.len() as u32)
+                .map(HostId)
+                .filter(|h| !self.crashed[h.0 as usize])
+                .collect()
+        }
+
+        /// Move `h`'s outputs onto the links and into its deliveries.
+        fn collect(&mut self, h: HostId) {
+            for out in std::mem::take(&mut self.members[h.0 as usize].out) {
+                match out {
+                    Output::Send(to, msg) => self.post(h, to, msg),
+                    Output::Multicast(to, msg) => {
+                        for t in to {
+                            self.post(h, t, msg.clone());
+                        }
+                    }
+                    Output::Deliver(d) => self.delivered[h.0 as usize].push(d),
+                }
+            }
+        }
+
+        fn post(&mut self, from: HostId, to: HostId, msg: SeqMsg) {
+            if self.crashed[from.0 as usize]
+                || self.crashed[to.0 as usize]
+                || (self.lose)(from, to, &msg)
+            {
+                return;
+            }
+            self.links.entry((from, to)).or_default().push_back(msg);
+        }
+
+        /// One input for `h`, then its timers, as its member thread runs
+        /// them.
+        fn input(&mut self, h: HostId, ev: NetEvent<SeqMsg>) {
+            let st = &mut self.members[h.0 as usize];
+            st.on_event(ev, self.now);
+            st.on_timers(self.now);
+            self.collect(h);
+        }
+
+        fn submit(&mut self, h: HostId, payload: &'static [u8]) {
+            self.members[h.0 as usize].submit(Bytes::from_static(payload), self.now);
+            self.collect(h);
+        }
+
+        /// Deliver every message in flight, and those they cause.
+        fn run(&mut self) {
+            for _ in 0..100_000 {
+                let Some(mut link) = self.links.first_entry() else {
+                    return;
+                };
+                let (from, to) = *link.key();
+                let msg = link.get_mut().pop_front().expect("no link queue is empty");
+                if link.get().is_empty() {
+                    link.remove();
+                }
+                self.input(to, NetEvent::Msg { from, msg });
+            }
+            panic!("messages still moving after 100000 steps");
+        }
+
+        /// Let `d` of virtual time pass: at each instant a live member's
+        /// timer falls due, run every live member's timers and deliver
+        /// what they send.
+        fn advance(&mut self, d: Duration) {
+            let end = self.now + d;
+            for _ in 0..100_000 {
+                self.run();
+                let live = self.live();
+                let next = live
+                    .iter()
+                    .filter_map(|h| self.members[h.0 as usize].next_due(self.now))
+                    .min();
+                match next {
+                    Some(t) if t <= end => self.now = self.now.max(t),
+                    _ => {
+                        self.now = end;
+                        return;
+                    }
+                }
+                for h in live {
+                    self.members[h.0 as usize].on_timers(self.now);
+                    self.collect(h);
+                }
+            }
+            panic!("timers still due after 100000 steps");
+        }
+
+        /// Crash `h` fail-silently. Under the oracle every live member
+        /// gets the crash notice at once.
+        fn crash(&mut self, h: HostId) {
+            self.crashed[h.0 as usize] = true;
+            self.links.retain(|(from, to), _| *from != h && *to != h);
+            if self.members[h.0 as usize].hb.is_none() {
+                for p in self.live() {
+                    self.input(p, NetEvent::CrashNotice(h));
+                }
+            }
+        }
+
+        /// `Fail(h)` deliveries at member `m`.
+        fn fails(&self, m: HostId, h: HostId) -> usize {
+            self.delivered[m.0 as usize]
+                .iter()
+                .filter(|d| matches!(d, Delivery::Fail { host, .. } if *host == h))
+                .count()
+        }
+    }
+
+    /// The tail of the ordered stream, lost on the way to one member,
+    /// leaves it no gap to NACK: no later record arrives. The
+    /// coordinator's next ping says how far the stream goes, and the
+    /// member asks for the rest.
+    #[test]
+    fn lost_stream_tail_is_repaired_from_the_next_ping() {
+        let hb = Heartbeat {
+            period: Duration::from_millis(100),
+            timeout: Duration::from_secs(1),
+        };
+        let mut s = Steps::new(3, Some(hb));
+        let mut lost = false;
+        s.lose = Box::new(move |from, to, msg| {
+            let hit =
+                !lost && (from, to) == (HostId(0), HostId(2)) && matches!(msg, SeqMsg::Ordered(_));
+            lost |= hit;
+            hit
+        });
+        s.submit(HostId(1), b"tail");
+        s.run();
+        assert_eq!(s.delivered[1].len(), 1, "member 1 delivers the record");
+        assert!(s.delivered[2].is_empty(), "member 2's copy is lost");
+        s.advance(hb.period);
+        assert_eq!(
+            s.delivered[2], s.delivered[1],
+            "member 2 repairs the tail within one heartbeat period"
+        );
+    }
+
+    /// A coordinator-elect whose SyncQuery to one member is lost asks
+    /// that member again `SYNC_RETRY` later, finishes the sync, and
+    /// orders the dead coordinator's Fail exactly once.
+    #[test]
+    fn lost_sync_query_is_retried_and_the_fail_ordered_once() {
+        let mut s = Steps::new(4, None);
+        s.submit(HostId(1), b"warm");
+        s.run();
+        let queries = Rc::new(RefCell::new(Vec::new()));
+        let sent = queries.clone();
+        s.lose = Box::new(move |from, to, msg| {
+            if !matches!(msg, SeqMsg::SyncQuery { .. }) {
+                return false;
+            }
+            let mut sent = sent.borrow_mut();
+            sent.push((from, to));
+            sent.len() == 2 && to == HostId(3)
+        });
+        s.crash(HostId(0));
+        s.run();
+        let elect = [(HostId(1), HostId(2)), (HostId(1), HostId(3))];
+        assert_eq!(*queries.borrow(), elect, "the elect queries both peers");
+        let survivors = [HostId(1), HostId(2), HostId(3)];
+        let fails = |s: &Steps| survivors.map(|m| s.fails(m, HostId(0)));
+        assert_eq!(fails(&s), [0; 3], "the sync waits on host 3");
+        s.advance(State::SYNC_RETRY - Duration::from_millis(1));
+        assert_eq!(queries.borrow().len(), 2, "no retry before SYNC_RETRY");
+        assert_eq!(fails(&s), [0; 3]);
+        s.advance(Duration::from_millis(1));
+        assert_eq!(
+            queries.borrow()[2..],
+            [(HostId(1), HostId(3))],
+            "one retry, to host 3"
+        );
+        assert_eq!(fails(&s), [1; 3], "the sync finished and ordered the Fail");
+        s.advance(Duration::from_secs(1));
+        assert_eq!(queries.borrow().len(), 3, "the retries stop");
+        assert_eq!(fails(&s), [1; 3], "exactly once");
     }
 }

@@ -13,7 +13,9 @@
 //! - writers reconnect with exponential backoff; while a link is down,
 //!   sends to that peer are *dropped*, exactly matching `SimNet`'s
 //!   fail-silent crash semantics — the sequencer's NACK/rejoin machinery
-//!   is what recovers, not the transport;
+//!   is what recovers, not the transport. A writer that reconnects first
+//!   drains the frames queued before the link went down, and only then
+//!   marks the link connected, so the drain cannot swallow a new frame;
 //! - everything read from a socket is untrusted: body length is capped
 //!   before allocation, decode errors (`crate::wire`) count
 //!   `ftlinda_frames_rejected_total` and drop the connection;
@@ -576,10 +578,11 @@ fn writer_loop(inner: &MeshInner, peer: HostId, addr: SocketAddr, rx: &Receiver<
             ],
         ));
         dial_attempts = 0;
-        link.connected.store(true, Ordering::Relaxed);
         // Drain stale frames queued while we were down: they were
-        // logically dropped already.
+        // logically dropped already. Only then accept new ones, or the
+        // drain could swallow a frame queued the moment the link is up.
         while rx.try_recv().is_ok() {}
+        link.connected.store(true, Ordering::Relaxed);
         // The stop check also covers a wake-up the drain swallowed.
         while !inner.stopped() {
             let Ok(Some(frame)) = rx.recv() else { break };
@@ -782,6 +785,7 @@ mod tests {
             sent_us: 1,
             echo_us: 0,
             held_us: 0,
+            seq: 0,
         };
         m.lane(0).send(HostId(0), ping.clone());
         match rx[0].recv_timeout(Duration::from_secs(1)).unwrap() {

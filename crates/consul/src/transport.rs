@@ -1,9 +1,10 @@
 //! Transport selection for the sequencer: simulated or real TCP.
 //!
-//! [`SeqNet`] is the narrow surface the protocol state machine actually
-//! uses — point-to-point send, multicast, heartbeat parameters — with
-//! the simulation-only extras (crash/restart injection, the oracle
-//! detector) reachable only through [`SeqNet::sim`]. Everything built in
+//! [`SeqNet`] is the narrow surface a sequencer member uses to carry
+//! out its protocol core's outputs — point-to-point send, multicast,
+//! heartbeat parameters — with the simulation-only extras
+//! (crash/restart injection, the oracle detector) reachable only
+//! through [`SeqNet::sim`]. Everything built in
 //! earlier PRs keeps running on [`SimNet`] unchanged; a TCP-backed
 //! member runs the identical state machine over a [`TcpLane`].
 

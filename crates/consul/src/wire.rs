@@ -278,11 +278,13 @@ pub fn encode_seq_msg(msg: &SeqMsg) -> Vec<u8> {
             sent_us,
             echo_us,
             held_us,
+            seq,
         } => {
             buf.put_u8(TAG_PING);
             put_uvarint(&mut buf, *sent_us);
             put_uvarint(&mut buf, *echo_us);
             put_uvarint(&mut buf, *held_us);
+            put_uvarint(&mut buf, *seq);
         }
         SeqMsg::Snapshot {
             checkpoint,
@@ -338,6 +340,7 @@ pub fn decode_seq_msg(mut bytes: &[u8]) -> Result<SeqMsg, DecodeError> {
             sent_us: get_uvarint(buf)?,
             echo_us: get_uvarint(buf)?,
             held_us: get_uvarint(buf)?,
+            seq: get_uvarint(buf)?,
         },
         TAG_SNAPSHOT => SeqMsg::Snapshot {
             checkpoint: get_checkpoint(buf)?,
@@ -444,11 +447,13 @@ mod tests {
                 sent_us: 1_700_000_000_000_000,
                 echo_us: 1_699_999_999_999_000,
                 held_us: 950,
+                seq: 4096,
             },
             SeqMsg::Ping {
                 sent_us: 7,
                 echo_us: 0,
                 held_us: 0,
+                seq: 0,
             },
             SeqMsg::Snapshot {
                 checkpoint: None,

@@ -63,6 +63,7 @@ fn assert_mesh_alive(mesh: &TcpMesh, rx: &crossbeam::channel::Receiver<NetEvent<
             sent_us: 1,
             echo_us: 0,
             held_us: 0,
+            seq: 0,
         },
     );
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -290,4 +291,67 @@ fn unreachable_tcp_member_reports_rejoin_error_and_keeps_retrying() {
     }
     mesh.shutdown();
     mesh0.shutdown();
+}
+
+/// A founding member started after its two peers ordered the stream's
+/// first records never gets those copies: the links to it were down,
+/// so the sends were dropped, and no later record reveals the gap. Its
+/// coordinator's pings carry how far the stream goes, and the member
+/// NACKs for the rest.
+#[test]
+fn late_founding_member_gets_the_records_ordered_before_it_started() {
+    let addrs = free_addrs(3);
+    let start = |me: u32| {
+        let obs = Registry::default();
+        let (mesh, mut rxs) = TcpMesh::start(TcpConfig::new(HostId(me), &addrs, 1), &obs).unwrap();
+        let (_group, member) = SeqGroup::tcp_member(
+            mesh.lane(0),
+            mesh.universe(),
+            mesh.me(),
+            rxs.remove(0),
+            BatchConfig::default(),
+            CheckpointConfig::default(),
+            0,
+            true,
+        );
+        (mesh, member)
+    };
+    let (mesh0, m0) = start(0);
+    let (mesh1, m1) = start(1);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !(mesh0.live_hosts().contains(&HostId(1)) && mesh1.live_hosts().contains(&HostId(0))) {
+        assert!(Instant::now() < deadline, "members 0 and 1 never linked up");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for i in 0..3 {
+        m1.broadcast(Bytes::from(format!("early-{i}")));
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while m0.delivered_count() < 3 || m1.delivered_count() < 3 {
+        assert!(
+            Instant::now() < deadline,
+            "members 0 and 1 never ordered 3 records"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+
+    let (mesh2, m2) = start(2);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut got = Vec::new();
+    while got.len() < 3 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match m2.deliveries().recv_timeout(left) {
+            Ok(consul_sim::Delivery::App { payload, .. }) => got.push(payload.to_vec()),
+            Ok(_) => {}
+            Err(_) => panic!("member 2 delivered {} of 3 records within 5 s", got.len()),
+        }
+    }
+    assert_eq!(got, [b"early-0", b"early-1", b"early-2"]);
+    for m in [&m0, &m1, &m2] {
+        m.stop();
+    }
+    for mesh in [mesh0, mesh1, mesh2] {
+        mesh.shutdown();
+    }
 }

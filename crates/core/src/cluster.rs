@@ -772,13 +772,17 @@ impl Cluster {
 
     /// Restart a crashed host. The fresh runtime replays the ordered log
     /// and converges to the surviving replicas' state; a `Join` record is
-    /// ordered into the stream.
+    /// ordered into the stream. The runtime it replaces is shut down, so
+    /// none of its threads outlive it; that handle stays readable.
     pub fn restart(&self, host: HostId) -> Runtime {
         // The fresh incarnation keeps the cluster's observability
         // configuration (watchdog threshold).
         let members: Vec<SeqMember> = self.groups.iter().map(|g| g.restart(host)).collect();
         let rt = Runtime::with_members(members, self.run_cfg.clone());
-        self.view.runtimes.lock().insert(host, rt.clone());
+        let replaced = self.view.runtimes.lock().insert(host, rt.clone());
+        if let Some(old) = replaced {
+            old.shutdown();
+        }
         rt
     }
 

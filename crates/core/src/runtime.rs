@@ -28,7 +28,7 @@
 
 use crate::error::FtError;
 use consul_sim::{HostId, LocalId, SeqMember};
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use ftlinda_ags::{
     imbalance_bp, shard_of, static_keys, Ags, AgsOutcome, MatchField, Operand, ScratchId, TsId,
 };
@@ -40,8 +40,9 @@ use linda_space::LocalSpace;
 use linda_tuple::{PatField, Pattern, Tuple, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Failure/recovery events observable by application code (in addition to
@@ -100,7 +101,11 @@ struct Shared {
     waiting: Mutex<HashMap<LocalId, (CompletionTx, Instant)>>,
     events: Mutex<Vec<Sender<FtEvent>>>,
     lanes: Vec<Lane>,
-    alive: AtomicBool,
+    /// The apply threads and the watchdog, joined by
+    /// [`Runtime::shutdown`].
+    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Dropped by [`Runtime::shutdown`] to stop the watchdog.
+    stop_tx: Mutex<Option<Sender<()>>>,
     config: RuntimeConfig,
     next_scratch: AtomicU32,
     /// Cross-shard transaction ids handed out by this origin.
@@ -189,7 +194,8 @@ impl Runtime {
             waiting: Mutex::new(HashMap::new()),
             events: Mutex::new(Vec::new()),
             lanes,
-            alive: AtomicBool::new(true),
+            threads: Mutex::new(Vec::new()),
+            stop_tx: Mutex::new(None),
             config,
             next_scratch: AtomicU32::new(0),
             next_xid: AtomicU64::new(1),
@@ -205,40 +211,39 @@ impl Runtime {
             host,
             shared: shared.clone(),
         };
-        for (i, note_rx) in note_rxs.into_iter().enumerate() {
-            Self::spawn_apply(shared.clone(), i, note_rx);
-        }
+        let mut threads: Vec<JoinHandle<()>> = note_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(i, note_rx)| Self::spawn_apply(shared.clone(), i, note_rx))
+            .collect();
         if let Some(threshold) = rt.shared.config.starvation_after.filter(|t| !t.is_zero()) {
-            rt.spawn_watchdog(threshold);
+            threads.push(rt.spawn_watchdog(threshold));
         }
+        *shared.threads.lock() = threads;
         rt
     }
 
     /// One apply thread per shard: feed the lane's kernel its delivery
-    /// stream and route the resulting kernel notes to local waiters.
-    fn spawn_apply(shared: Arc<Shared>, lane_idx: usize, note_rx: Receiver<KernelNote>) {
+    /// stream and route the resulting kernel notes to local waiters. It
+    /// blocks on the stream and exits when the stream ends, that is when
+    /// the member's protocol thread has exited.
+    fn spawn_apply(
+        shared: Arc<Shared>,
+        lane_idx: usize,
+        note_rx: Receiver<KernelNote>,
+    ) -> JoinHandle<()> {
         let member = shared.lanes[lane_idx].member.clone();
         let host = member.host();
         std::thread::Builder::new()
             .name(format!("ftlinda-apply-{host}-s{lane_idx}"))
             .spawn(move || loop {
-                let d = match member.deliveries().recv_timeout(Duration::from_millis(100)) {
-                    Ok(d) => d,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                        if !shared.alive.load(AtomicOrdering::Relaxed) {
-                            return;
-                        }
-                        continue;
+                let Ok(d) = member.deliveries().recv() else {
+                    // Wake all waiters with Shutdown.
+                    let mut w = shared.waiting.lock();
+                    for (_, (tx, _)) in w.drain() {
+                        let _ = tx.send(Err(FtError::Shutdown));
                     }
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                        shared.alive.store(false, AtomicOrdering::Relaxed);
-                        // Wake all waiters with Shutdown.
-                        let mut w = shared.waiting.lock();
-                        for (_, (tx, _)) in w.drain() {
-                            let _ = tx.send(Err(FtError::Shutdown));
-                        }
-                        return;
-                    }
+                    return;
                 };
                 // Pipelining: a batched multicast (or a replayed
                 // snapshot) lands many deliveries at once; drain them
@@ -375,7 +380,7 @@ impl Runtime {
                     }
                 }
             })
-            .expect("spawn apply thread");
+            .expect("spawn apply thread")
     }
 
     /// Background starvation watchdog: periodically runs every lane
@@ -389,21 +394,22 @@ impl Runtime {
     /// resolved map — nearest-miss counts are attributed to the shard
     /// that actually stores the bucket, not read as zero from the lane
     /// where the AGS happens to be queued.
-    fn spawn_watchdog(&self, threshold: Duration) {
+    fn spawn_watchdog(&self, threshold: Duration) -> JoinHandle<()> {
         let shared = self.shared.clone();
         let host = self.host;
+        let (stop_tx, stop) = crossbeam::channel::bounded::<()>(0);
+        *shared.stop_tx.lock() = Some(stop_tx);
         // Sweep a few times per threshold so a crossing is reported
         // promptly, but never spin faster than 10ms.
         let period = (threshold / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
         std::thread::Builder::new()
             .name(format!("ftlinda-watchdog-{host}"))
             .spawn(move || {
-                while shared.alive.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(period);
+                while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(period) {
                     Self::sweep_lanes(&shared, threshold);
                 }
             })
-            .expect("spawn starvation watchdog");
+            .expect("spawn starvation watchdog")
     }
 
     /// One shard-aware watchdog pass over every lane (see
@@ -1129,15 +1135,21 @@ impl Runtime {
             .fault_inject(ts, t)
     }
 
-    /// Stop the apply threads (cluster teardown).
+    /// Stop this host's members, and return once its apply threads and
+    /// watchdog have exited (cluster teardown, or the end of a crashed
+    /// incarnation). The handle stays readable: metrics, digests and
+    /// introspection still answer from the stopped replica.
     pub fn shutdown(&self) {
-        self.shared.alive.store(false, AtomicOrdering::Relaxed);
+        self.shared.stop_tx.lock().take();
         for lane in &self.shared.lanes {
             lane.member.stop();
         }
-        let mut w = self.shared.waiting.lock();
-        for (_, (tx, _)) in w.drain() {
+        for (_, (tx, _)) in self.shared.waiting.lock().drain() {
             let _ = tx.send(Err(FtError::Shutdown));
+        }
+        let threads = std::mem::take(&mut *self.shared.threads.lock());
+        for t in threads {
+            let _ = t.join();
         }
     }
 }

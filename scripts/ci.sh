@@ -44,6 +44,20 @@ echo "==> benchmark build + self-tests (perfbench is its own workspace)"
 # catches a change to a public item the benchmark calls.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> benchmark set-up paths (tcp_pingpong seeds 1-3, failover)"
+# Short runs of the benchmark itself: perfbench exits non-zero on a
+# wrong result, and the timeout turns a hang in a round's set-up (as
+# tcp_pingpong seed 622 once hung, its third member missing the first
+# ordered records) into a failed step. The failover run covers 4
+# crash/restart cycles.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+for seed in 1 2 3; do
+    timeout 180 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload tcp_pingpong --seed "$seed" --seconds 2 --trace 0
+done
+timeout 180 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload failover --seed 1 --seconds 4 --trace 0
+
 echo "==> bench smoke (assertions only, no measurement)"
 # batch_window sweeps the group-commit window {off, 100us, 1ms} and
 # writes the multicasts-per-AGS / throughput curve as a JSON artifact.
