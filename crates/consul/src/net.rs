@@ -263,31 +263,34 @@ impl<M: Send + WireSized + 'static> SimNet<M> {
         let inner = self.inner.clone();
         std::thread::Builder::new()
             .name("simnet-router".into())
-            .spawn(move || loop {
-                let mut st = inner.state.lock();
-                if st.shutdown {
-                    return;
-                }
-                match st.queue.peek().map(|s| s.due) {
-                    None => {
-                        inner.cond.wait(&mut st);
+            .spawn(move || {
+                precise_timers();
+                loop {
+                    let mut st = inner.state.lock();
+                    if st.shutdown {
+                        return;
                     }
-                    Some(due) => {
-                        let now = Instant::now();
-                        if due <= now {
-                            let item = st.queue.pop().expect("peeked");
-                            // Drop everything scheduled for a crashed
-                            // host, detector notices included.
-                            if !st.crashed.get(&item.to).copied().unwrap_or(false) {
-                                if let Some(tx) = st.inboxes.get(&item.to) {
-                                    // Receiver may be gone after restart;
-                                    // dropping is correct (host is dead).
-                                    let _ = tx.send(item.event);
+                    match st.queue.peek().map(|s| s.due) {
+                        None => {
+                            inner.cond.wait(&mut st);
+                        }
+                        Some(due) => {
+                            let now = Instant::now();
+                            if due <= now {
+                                let item = st.queue.pop().expect("peeked");
+                                // Drop everything scheduled for a crashed
+                                // host, detector notices included.
+                                if !st.crashed.get(&item.to).copied().unwrap_or(false) {
+                                    if let Some(tx) = st.inboxes.get(&item.to) {
+                                        // Receiver may be gone after restart;
+                                        // dropping is correct (host is dead).
+                                        let _ = tx.send(item.event);
+                                    }
                                 }
+                                drop(st);
+                            } else {
+                                inner.cond.wait_until(&mut st, due);
                             }
-                            drop(st);
-                        } else {
-                            inner.cond.wait_until(&mut st, due);
                         }
                     }
                 }
@@ -518,6 +521,33 @@ impl<M> Drop for NetInner<M> {
     fn drop(&mut self) {
         self.state.get_mut().shutdown = true;
         self.cond.notify_all();
+    }
+}
+
+/// Let the calling thread's timed sleeps end at their deadlines. Linux
+/// defers a timed wake-up by up to the thread's timer slack (50 µs by
+/// default) to merge it with others; on a thread whose sleeps are
+/// protocol deadlines (the group-commit window, a link's latency) that
+/// slack lands on every operation. Sets the slack to 1 ns, the least
+/// `PR_SET_TIMERSLACK` takes (0 restores the default), through minimal
+/// FFI as in `tcp::bind_reuse`; a no-op on other targets. Called once at
+/// the top of each `seq-` and `simnet-router` thread.
+pub(crate) fn precise_timers() {
+    #[cfg(target_os = "linux")]
+    {
+        const PR_SET_TIMERSLACK: i32 = 29;
+        extern "C" {
+            fn prctl(option: i32, ...) -> i32;
+        }
+        let one_ns: std::os::raw::c_ulong = 1;
+        // SAFETY: `prctl` is declared as libc declares it, and
+        // PR_SET_TIMERSLACK reads its one integer argument and changes
+        // only the calling thread's slack. It fails only on a bad value;
+        // the thread then keeps the default slack, which costs latency
+        // and nothing else.
+        unsafe {
+            prctl(PR_SET_TIMERSLACK, one_ns);
+        }
     }
 }
 

@@ -355,3 +355,58 @@ fn late_founding_member_gets_the_records_ordered_before_it_started() {
         mesh.shutdown();
     }
 }
+
+/// A TCP member's protocol thread sleeps with 1 ns of timer slack, as a
+/// Sim member's does, so its group-commit deadline ends on time rather
+/// than up to the default 50 µs late. Reads each `seq-` thread's slack
+/// as `/proc/<tid>/timerslack_ns` (only a process's own directory has
+/// the file), which for another thread takes `CAP_SYS_NICE`.
+#[cfg(target_os = "linux")]
+#[test]
+fn tcp_member_protocol_thread_runs_with_one_nanosecond_timer_slack() {
+    let addrs = free_addrs(1);
+    let obs = Registry::default();
+    let (mesh, mut rxs) = TcpMesh::start(TcpConfig::new(HostId(0), &addrs, 1), &obs).unwrap();
+    let (_group, member) = SeqGroup::tcp_member(
+        mesh.lane(0),
+        mesh.universe(),
+        mesh.me(),
+        rxs.remove(0),
+        BatchConfig::default(),
+        CheckpointConfig::default(),
+        0,
+        true,
+    );
+    // Other tests' members run the same code, so every `seq-` thread of
+    // this process must read 1 once it has started.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    'poll: loop {
+        let mut slack = Vec::new();
+        for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+            let tid = task.file_name().to_string_lossy().into_owned();
+            let named = std::fs::read_to_string(task.path().join("comm"));
+            if !named.is_ok_and(|comm| comm.starts_with("seq-")) {
+                continue;
+            }
+            match std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns")) {
+                Ok(ns) => slack.push((tid, ns.trim().to_string())),
+                Err(e) if e.kind() == std::io::ErrorKind::PermissionDenied => {
+                    eprintln!("timer slack unchecked: reading another thread's needs CAP_SYS_NICE");
+                    break 'poll;
+                }
+                // The thread exited after it was listed.
+                Err(_) => {}
+            }
+        }
+        if !slack.is_empty() && slack.iter().all(|(_, ns)| ns == "1") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "seq- threads' timer slack (ns) by thread id: {slack:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    member.stop();
+    mesh.shutdown();
+}

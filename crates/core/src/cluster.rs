@@ -773,7 +773,9 @@ impl Cluster {
     /// Restart a crashed host. The fresh runtime replays the ordered log
     /// and converges to the surviving replicas' state; a `Join` record is
     /// ordered into the stream. The runtime it replaces is shut down, so
-    /// none of its threads outlive it; that handle stays readable.
+    /// none of its threads outlive it; that handle stays readable for
+    /// its metrics, but its replica state is released
+    /// ([`Runtime::shutdown`]).
     pub fn restart(&self, host: HostId) -> Runtime {
         // The fresh incarnation keeps the cluster's observability
         // configuration (watchdog threshold).

@@ -1137,8 +1137,10 @@ impl Runtime {
 
     /// Stop this host's members, and return once its apply threads and
     /// watchdog have exited (cluster teardown, or the end of a crashed
-    /// incarnation). The handle stays readable: metrics, digests and
-    /// introspection still answer from the stopped replica.
+    /// incarnation); then release each shard's replica state
+    /// ([`Kernel::release`]). The handle stays readable: metrics answer
+    /// with every counter as it stood, and introspection and digests
+    /// answer from the emptied replica at its last applied seq.
     pub fn shutdown(&self) {
         self.shared.stop_tx.lock().take();
         for lane in &self.shared.lanes {
@@ -1150,6 +1152,9 @@ impl Runtime {
         let threads = std::mem::take(&mut *self.shared.threads.lock());
         for t in threads {
             let _ = t.join();
+        }
+        for lane in &self.shared.lanes {
+            lane.kernel.lock().release();
         }
     }
 }

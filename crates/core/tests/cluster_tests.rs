@@ -158,6 +158,67 @@ fn crash_and_restart_rejoins_with_converged_state() {
     cluster.shutdown();
 }
 
+/// The runtime a restart replaces lets go of its replica state: its
+/// handle lists no tuples and no blocked AGS, while its exported match
+/// counters keep every count it made.
+#[test]
+fn restart_releases_the_replaced_runtimes_state_and_keeps_its_counters() {
+    let (cluster, rts) = Cluster::new(3);
+    let ts = rts[0].create_stable_ts("main").unwrap();
+    for i in 0..20 {
+        rts[2].out(ts, tuple!("row", i)).unwrap();
+    }
+    for _ in 0..5 {
+        rts[2].in_(ts, &pat!("row", ?int)).unwrap();
+    }
+    // A guard nothing satisfies yet, blocked at every replica.
+    let rt0 = rts[0].clone();
+    let waiter = std::thread::spawn(move || rt0.in_(ts, &pat!("later")).unwrap());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while rts[2].blocked_len() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the guard never blocked at host 2"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let matches = |rt: &ftlinda::Runtime| {
+        let snap = rt.metrics_snapshot();
+        ["attempts", "probes", "hits"].map(|m| {
+            snap.counter_family(&format!("ftlinda_match_{m}_total"))
+                .map_or(0, |f| f.values().sum::<u64>())
+        })
+    };
+    let before = matches(&rts[2]);
+    assert!(before.iter().all(|n| *n > 0), "{before:?}");
+
+    cluster.crash(HostId(2));
+    let rt2 = cluster.restart(HostId(2));
+    let old = rts[2].introspect().unwrap();
+    assert!(
+        old.spaces
+            .iter()
+            .all(|s| s.tuples == 0 && s.signatures.is_empty()),
+        "{:?}",
+        old.spaces
+    );
+    assert!(old.blocked.is_empty());
+    assert_eq!(rts[2].stable_len(ts), Some(0));
+    let after = matches(&rts[2]);
+    assert!(
+        after.iter().zip(&before).all(|(a, b)| a >= b),
+        "match counters fell from {before:?} to {after:?}"
+    );
+
+    // The fresh incarnation holds the state again.
+    assert!(rt2.wait_applied(rts[0].applied_seq(), Duration::from_secs(5)));
+    assert!(rt2.stable_len(ts) >= Some(15));
+    assert_eq!(rt2.blocked_len(), 1);
+    rts[1].out(ts, tuple!("later")).unwrap();
+    assert_eq!(waiter.join().unwrap(), tuple!("later"));
+    cluster.shutdown();
+}
+
 #[test]
 fn scratch_space_receives_ags_output() {
     let (cluster, rts) = Cluster::new(2);

@@ -1730,12 +1730,7 @@ impl Kernel {
                 actual,
             });
         }
-        // The fresh stores count from zero; carry the outgoing totals so
-        // the exported counters stay monotone.
-        for (id, store) in &self.stables {
-            let carried = self.replaced_totals.entry(*id).or_default();
-            *carried = carried.plus(store);
-        }
+        self.carry_store_totals();
         self.stables = stables;
         self.blocked = blocked;
         self.guard_index = guard_index;
@@ -1749,6 +1744,37 @@ impl Kernel {
         // frozen) and replaying the log from it re-applies the lock.
         self.hold = None;
         Ok(())
+    }
+
+    /// Drop the replica state of a kernel whose delivery stream has
+    /// ended: every space's tuples, the blocked queue and its guard
+    /// index, the scratch spaces, a pending checkpoint and a cross-shard
+    /// hold. A stopped incarnation's handle can outlive it for its
+    /// metrics, and would otherwise keep a full copy of the state. Each
+    /// space keeps an empty store, and the outgoing stores' totals carry
+    /// into the exported counters as on [`Kernel::restore`], so those
+    /// never decrease. The applied sequence number stays.
+    pub fn release(&mut self) {
+        self.carry_store_totals();
+        for store in self.stables.values_mut() {
+            *store = IndexedStore::new();
+        }
+        self.blocked.clear();
+        self.guard_index.clear();
+        self.scratches.clear();
+        self.pending_checkpoint = None;
+        self.hold = None;
+        self.flush_gauges();
+    }
+
+    /// Add every store's totals to `replaced_totals` before the stores
+    /// are replaced: fresh stores count from zero, and the exported
+    /// counters must stay monotone.
+    fn carry_store_totals(&mut self) {
+        for (id, store) in &self.stables {
+            let carried = self.replaced_totals.entry(*id).or_default();
+            *carried = carried.plus(store);
+        }
     }
 
     /// Take the image produced by the last applied checkpoint boundary,

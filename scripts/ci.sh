@@ -33,10 +33,9 @@ echo "==> restart-at-once tests, 20 runs each"
 # A host restarted the moment it crashed was once cut off from the group
 # in about 1 run of 50, unseen for several changes. These two binaries
 # restart a host at once; repeating them gives a rare cut-off a chance
-# to show.
-for _ in $(seq 20); do
-    cargo test -q -p ftlinda --test thread_layout --test restart_at_once
-done
+# to show. Any failing run fails the step; its output is kept under
+# target/rerun/.
+./scripts/rerun.sh 20 -q -p ftlinda --test thread_layout --test restart_at_once
 
 echo "==> benchmark build + self-tests (perfbench is its own workspace)"
 # perfbench/ builds the program from ../crates by path but is not a
